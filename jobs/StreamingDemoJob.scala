@@ -9,7 +9,7 @@ import repro.traj.TrajGen
 
 /** End-to-end Structured Streaming demo: a generated trajectory stream is
   * fed snapshot-by-snapshot through a MemoryStream into the streaming ICPE
-  * pipeline (time sync -> distributed GR-index clustering -> stateful VBA),
+  * pipeline (time sync -> in-process GR-index clustering per snapshot -> VBA),
   * printing the detected co-movement patterns.
   */
 object StreamingDemoJob {

@@ -18,6 +18,21 @@ object ICPE {
     Dbscan.cluster(snapshots, neighbors, p.minPts)
   }
 
+  /** Phase 1 for one snapshot, in-process: the same GridAllocate → GridQuery
+    * per cell → DBSCAN functions as [[clusterSnapshots]], without Spark. The
+    * streaming path clusters each released snapshot this way, so a
+    * micro-batch costs one Spark job (its `collect`) and no shuffle; the
+    * cell-distributed plan is kept for batches of many snapshots.
+    * All `rows` must belong to snapshot `time`.
+    */
+  def clusterLocal(time: Int, rows: Seq[SnapshotRow], p: ClusterParams): Seq[ClusterRow] = {
+    val pairs = rows.flatMap(RangeJoin.gridAllocate(_, p.eps, p.lg))
+      .groupBy(_.cellKey).valuesIterator
+      .flatMap(cell => RangeJoin.gridQuery(cell.iterator, p.eps))
+      .toVector
+    Dbscan.clusterLocal(time, rows.map(_.id), pairs, p.minPts)
+  }
+
   /** Phase 2 — pattern enumeration over cluster snapshots. */
   def detectPatterns(clusters: Dataset[ClusterRow], c: Constraints,
                      method: EnumMethod = FbaMethod): Dataset[Emitted] =

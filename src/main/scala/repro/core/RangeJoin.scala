@@ -13,7 +13,7 @@ final case class GridObject(time: Int, cellKey: Long, isQuery: Boolean,
 
 /** GR-index based range join **RJC** (paper §5.2): GridAllocate (Algorithm 1,
   * Lemma 1 upper-half replication), GridQuery (Algorithm 2, Lemma 2
-  * query-while-building), GridSync (result collection / dedup).
+  * query-while-building), GridSync (result collection).
   *
   * The join is computed per snapshot; cells of different snapshots are
   * independent partitions, which is how ICPE parallelizes across both space
@@ -38,9 +38,14 @@ object RangeJoin {
     * Data objects are processed incrementally: query the R-tree built so far
     * with the full square region, then insert (Lemma 2 — each in-cell pair is
     * reported exactly once). Query objects then probe the complete R-tree
-    * with the *upper-half* region only, matching Lemma 1's replication (two
-    * locations in horizontally adjacent cells otherwise find each other
-    * twice). Pairs are emitted canonicalized (small id first).
+    * with the *upper-half* region only, matching Lemma 1's replication, and
+    * accept a data object only if it lies strictly above the query object,
+    * or at the same y with a larger id. Two locations with equal y in
+    * horizontally adjacent cells probe each other's cell; the id tie-break
+    * keeps exactly one of the two reports, so every pair of the snapshot is
+    * emitted exactly once across all cells. R-tree regions are widened by
+    * `Grid.slack` and each hit is checked with the exact `|Δ| <= eps` test.
+    * Pairs are emitted canonicalized (small id first).
     */
   def gridQuery(objects: Iterator[GridObject], eps: Double): Iterator[NeighborPair] = {
     val data    = new ArrayBuffer[GridObject]()
@@ -50,27 +55,38 @@ object RangeJoin {
 
     val out  = new ArrayBuffer[NeighborPair]()
     val time = data.head.time
-    val rt   = new RTree()
-    data.foreach { o =>
-      rt.rangeQuery(o.x, o.y, eps).foreach { v =>
-        if (v != o.id) out += canon(time, o.id, v)
+    val rt   = new RTree() // payload: the data object's index in `data`
+    data.indices.foreach { i =>
+      val o = data(i)
+      rt.query(Rect.range(o.x, o.y, eps + Grid.slack(o.x, o.y, eps))).foreach { j =>
+        val v = data(j.toInt)
+        if (v.id != o.id && within(o, v, eps)) out += canon(time, o.id, v.id)
       }
-      rt.insert(o.id, o.x, o.y)
+      rt.insert(i, o.x, o.y)
     }
-    queries.foreach { o =>
-      rt.query(Rect.upperRange(o.x, o.y, eps)).foreach { v =>
-        if (v != o.id) out += canon(time, o.id, v)
+    queries.foreach { q =>
+      rt.query(Rect.upperRange(q.x, q.y, eps + Grid.slack(q.x, q.y, eps))).foreach { j =>
+        val d = data(j.toInt)
+        if (d.id != q.id && (d.y > q.y || d.id > q.id) && within(q, d, eps))
+          out += canon(time, q.id, d.id)
       }
     }
     out.iterator
   }
 
+  /** The neighbour test, with the same arithmetic as `Reference.rangeJoin`
+    * and the SQL oracle.
+    */
+  private def within(a: GridObject, b: GridObject, eps: Double): Boolean =
+    math.abs(a.x - b.x) <= eps && math.abs(a.y - b.y) <= eps
+
   private def canon(time: Int, a: Long, b: Long): NeighborPair =
     if (a < b) NeighborPair(time, a, b) else NeighborPair(time, b, a)
 
   /** The full distributed join: allocate, shuffle by (time, cell), query per
-    * cell, and collect distinct pairs (GridSync). `distinct` also removes the
-    * theoretical duplicates of exactly tied y coordinates under Lemma 1.
+    * cell (GridSync collects the per-cell results). Lemmas 1–2 with the
+    * y/id tie-break of `gridQuery` report every pair exactly once, so no
+    * de-duplication pass is needed.
     */
   def rjc(snapshots: Dataset[SnapshotRow], eps: Double, lg: Double): Dataset[NeighborPair] = {
     val spark = snapshots.sparkSession
@@ -79,6 +95,5 @@ object RangeJoin {
       .flatMap(gridAllocate(_, eps, lg))
       .groupByKey(o => (o.time, o.cellKey))
       .flatMapGroups((_, it) => gridQuery(it, eps))
-      .distinct()
   }
 }

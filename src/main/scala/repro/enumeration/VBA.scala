@@ -68,6 +68,7 @@ object VBA {
 
   private def step(state: VbaState, t: Int, members: Set[Long], c: Constraints,
                    out: ArrayBuffer[Emitted]): Unit = {
+    evict(state, t, c)
     val completed = ArrayBuffer.empty[VarBits] // Cl, the local candidate list
     // Update open entries (Alg 5, lines 2-12).
     for ((oi, e) <- state.open.toVector) {
@@ -91,6 +92,18 @@ object VBA {
       state.cands += cand
     }
     state.lastTime = t
+  }
+
+  /** Bounds C before snapshot `t`: every candidate finalized from now on
+    * starts at or after S, the earliest start of an open entry (or `t` if
+    * none is open), so a retained candidate ending before S + K - 1 can never
+    * again share K snapshots with a new one (Lemma 8) and is dropped. Doing
+    * this at the start of a step leaves the candidates of the last step
+    * visible until the next one.
+    */
+  private def evict(state: VbaState, t: Int, c: Constraints): Unit = {
+    val s = state.open.valuesIterator.foldLeft(t)((m, e) => math.min(m, e.st))
+    state.cands.filterInPlace(v => v.et - s + 1 >= c.k)
   }
 
   /** Valid maximal components of a closed entry. Dropping sub-L runs and

@@ -21,16 +21,27 @@ object Grid {
   def pack(cx: Int, cy: Int): Long = (cx.toLong << 32) | (cy.toLong & 0xffffffffL)
   def unpack(key: Long): (Int, Int) = ((key >> 32).toInt, key.toInt)
 
+  /** Rounding slack for the bounds of the range region around (x, y):
+    * `x ± eps` is rounded, and so is the `|Δx| <= eps` test that defines a
+    * neighbour, so the two can disagree by an ulp at the region's edge.
+    * Bounds widened by this much contain every neighbour; the exact test
+    * then decides.
+    */
+  def slack(x: Double, y: Double, eps: Double): Double =
+    4 * Math.ulp(math.abs(x) + math.abs(y) + eps)
+
   /** Lemma 1 replication keys for a query object at (x, y): all cells
     * intersecting the upper half-region ([x-eps, x+eps], [y, y+eps]) of the
-    * range region, *excluding* the home cell (which is covered by the
-    * incremental data-object processing of Lemma 2).
+    * range region (bounds widened by [[slack]]), *excluding* the home cell
+    * (which is covered by the incremental data-object processing of
+    * Lemma 2).
     */
   def lemma1QueryKeys(x: Double, y: Double, lg: Double, eps: Double): Seq[Long] = {
     val home = key(x, y, lg)
+    val r = eps + slack(x, y, eps)
     val keys = for {
-      cx <- cell(x - eps, lg) to cell(x + eps, lg)
-      cy <- cell(y, lg) to cell(y + eps, lg)
+      cx <- cell(x - r, lg) to cell(x + r, lg)
+      cy <- cell(y, lg) to cell(y + r, lg)
       k = pack(cx, cy) if k != home
     } yield k
     keys

@@ -14,6 +14,15 @@ import scala.collection.mutable
   * emitted once every known trajectory's released frontier has passed t —
   * at that point membership of every trajectory in snapshot t is decided.
   *
+  * Records that could never be released are dropped on arrival and counted
+  * in [[dropped]] (DESIGN.md §2): non-finite coordinates, a `lastTime` not
+  * before `time`, a predecessor the trajectory's frontier has already passed
+  * (a duplicate of a released record, or a stale one), and a second record
+  * waiting for the same predecessor. A first record whose snapshot was
+  * already emitted (an unregistered trajectory joining late) advances the
+  * trajectory's frontier but is itself dropped as stale; `close()` drops the
+  * records still waiting for a lost predecessor as unresolved.
+  *
   * Trajectories that stop reporting would stall the frontier; `close()`
   * flushes everything at stream end (a deployment would use punctuation or
   * a timeout, which the paper leaves implicit).
@@ -33,9 +42,19 @@ final class TimeSync(expected: Set[Long] = Set.empty) {
   /** Released records buffered per snapshot time, not yet emitted. */
   private val buffered = mutable.TreeMap.empty[Int, mutable.ArrayBuffer[Gps]]
   private var emittedUpTo = -1
+  private var nonFinite, badLastTime, stale, duplicate, unresolved = 0L
+  private var pendingCount, bufferedCount = 0L
 
   /** Trajectory ids seen so far (plus the pre-registered expected ones). */
   def knownTrajectories: Set[Long] = frontier.keySet.toSet ++ expected
+
+  /** Records dropped so far, by reason. */
+  def dropped: TimeSync.Drops = TimeSync.Drops(nonFinite, badLastTime, stale, duplicate, unresolved)
+
+  /** Records accepted but not yet emitted in a snapshot: waiting for their
+    * predecessor, or released into a snapshot that is not yet complete.
+    */
+  def heldRecords: Long = pendingCount + bufferedCount
 
   /** Offer one record (any arrival order across trajectories); returns the
     * snapshots (time, records) that became complete, in ascending time
@@ -49,9 +68,18 @@ final class TimeSync(expected: Set[Long] = Set.empty) {
     */
   def addAll(rs: Iterable[Gps]): Seq[(Int, Seq[Gps])] = {
     rs.foreach { r =>
-      val waiting = pending.getOrElseUpdate(r.id, mutable.HashMap.empty)
-      waiting(r.lastTime) = r
-      release(r.id, waiting)
+      if (!r.x.isFinite || !r.y.isFinite) nonFinite += 1
+      else if (r.lastTime >= r.time || r.lastTime < -1) badLastTime += 1
+      else if (r.lastTime < frontier.getOrElse(r.id, -1)) stale += 1
+      else {
+        val waiting = pending.getOrElseUpdate(r.id, mutable.HashMap.empty)
+        if (waiting.contains(r.lastTime)) duplicate += 1
+        else {
+          waiting(r.lastTime) = r
+          pendingCount += 1
+          release(r.id, waiting)
+        }
+      }
     }
     emitComplete()
   }
@@ -61,11 +89,24 @@ final class TimeSync(expected: Set[Long] = Set.empty) {
     var next = waiting.remove(f)
     while (next.isDefined) {
       val g = next.get
-      buffered.getOrElseUpdate(g.time, mutable.ArrayBuffer.empty) += g
+      pendingCount -= 1
+      if (g.time <= emittedUpTo) stale += 1
+      else {
+        buffered.getOrElseUpdate(g.time, mutable.ArrayBuffer.empty) += g
+        bufferedCount += 1
+      }
       f = g.time
       next = waiting.remove(f)
     }
     frontier(id) = f
+    // Records whose predecessor lies behind the new frontier contradict the
+    // released chain and can never be released.
+    if (waiting.nonEmpty) {
+      val before = waiting.size
+      waiting.filterInPlace((last, _) => last >= f)
+      stale += before - waiting.size
+      pendingCount -= before - waiting.size
+    }
   }
 
   private def emitComplete(): Seq[(Int, Seq[Gps])] = {
@@ -84,16 +125,31 @@ final class TimeSync(expected: Set[Long] = Set.empty) {
     val out = ((emittedUpTo + 1) to limit).map { t =>
       t -> buffered.remove(t).map(_.toSeq).getOrElse(Nil)
     }
+    bufferedCount -= out.iterator.map(_._2.length).sum
     emittedUpTo = limit
     out
   }
 
   /** Flush every remaining complete-able snapshot at stream end. Records
-    * still waiting for a lost predecessor are dropped (their gap can never
-    * be resolved).
+    * still waiting for a lost predecessor are dropped and counted as
+    * `unresolved` (their gap can never be resolved).
     */
   def close(): Seq[(Int, Seq[Gps])] = {
+    unresolved += pendingCount
+    pendingCount = 0
+    pending.clear()
     val maxBuffered = if (buffered.isEmpty) emittedUpTo else buffered.lastKey
     emitUpTo(maxBuffered)
+  }
+}
+
+object TimeSync {
+
+  /** Counts of rejected records, by reason. */
+  final case class Drops(nonFinite: Long = 0, badLastTime: Long = 0, stale: Long = 0,
+                         duplicate: Long = 0, unresolved: Long = 0) {
+    def total: Long = nonFinite + badLastTime + stale + duplicate + unresolved
+    def -(o: Drops): Drops = Drops(nonFinite - o.nonFinite, badLastTime - o.badLastTime,
+      stale - o.stale, duplicate - o.duplicate, unresolved - o.unresolved)
   }
 }

@@ -2,6 +2,8 @@ package repro.core
 
 import repro.{SparkSpec, TestData}
 import repro.enumeration._
+import repro.index.Grid
+import repro.traj.{Brinkhoff, BrinkhoffConfig}
 
 /** End-to-end ICPE pipeline tests: geometry in, patterns out — through the
   * distributed range join, DBSCAN, id-partitioning and every enumeration
@@ -43,6 +45,32 @@ class IcpeSpec extends SparkSpec {
     val got = ICPE.clusterSnapshots(spark.createDataset(rows), params)
       .collect().toSeq.sortBy(c => (c.time, c.clusterId))
     assert(got == Reference.dbscan(rows, eps, 2))
+  }
+
+  test("clusterLocal per snapshot equals clusterSnapshots and Reference.dbscan") {
+    // A road lattice: walkers on the same horizontal road share y exactly,
+    // and roads (every 40) cross cell borders (every 10) — Lemma 1's ties.
+    val lattice = BrinkhoffConfig(nObjects = 300, nSnapshots = 6, nodes = 6, edge = 40.0,
+      nGroups = 10, seed = 11L)
+    val latticeRows = (0L until lattice.nObjects.toLong).flatMap(Brinkhoff.genObject(lattice, _))
+    val latticeParams = ClusterParams(eps = 4.0, minPts = 3, lg = 10.0)
+    val byId = latticeRows.map(r => (r.time, r.id) -> r).toMap
+    val crossCellTies = Reference.rangeJoin(latticeRows, latticeParams.eps).count { pr =>
+      val (a, b) = (byId((pr.time, pr.a)), byId((pr.time, pr.b)))
+      a.y == b.y && Grid.key(a.x, a.y, latticeParams.lg) != Grid.key(b.x, b.y, latticeParams.lg)
+    }
+    assert(crossCellTies > 0, "the lattice input must have equal-y pairs across cell borders")
+
+    for ((name, rows, p) <- Seq(("golden", TestData.goldenGeometry(eps), params),
+                                ("brinkhoff lattice", latticeRows, latticeParams))) {
+      val local = rows.groupBy(_.time).toSeq.sortBy(_._1)
+        .flatMap { case (t, rs) => ICPE.clusterLocal(t, rs, p) }
+      val distributed = ICPE.clusterSnapshots(spark.createDataset(rows), p)
+        .collect().toSeq.sortBy(c => (c.time, c.clusterId))
+      assert(local.nonEmpty, name)
+      assert(local == distributed, name)
+      assert(local == Reference.dbscan(rows, p.eps, p.minPts), name)
+    }
   }
 
   test("pipeline on a generated trajectory stream matches the reference") {

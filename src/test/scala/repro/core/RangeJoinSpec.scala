@@ -13,7 +13,7 @@ class RangeJoinSpec extends SparkSpec with PropSupport {
   import spark.implicits._
 
   /** Run the full join locally (no Spark) — used to inspect the raw pair
-    * stream before GridSync's distinct.
+    * stream the cells report.
     */
   private def localJoin(rows: Seq[SnapshotRow], eps: Double, lg: Double): Seq[NeighborPair] =
     rows.iterator
@@ -22,6 +22,22 @@ class RangeJoinSpec extends SparkSpec with PropSupport {
       .iterator
       .flatMap { case (_, objs) => RangeJoin.gridQuery(objs.iterator, eps) }
       .toSeq
+
+  /** Road-lattice snapshots: every point sits on a horizontal or vertical
+    * road (one coordinate a multiple of `gap`) at a position that is a
+    * multiple of `step` along it, so many points share y across cell
+    * borders, where both points' query objects probe each other's cell.
+    */
+  private def lattice(seed: Long, n: Int, times: Int, step: Double, gap: Double,
+                      extent: Double): Seq[SnapshotRow] = {
+    val rng = new Random(seed)
+    for (t <- 1 to times; i <- 0 until n) yield {
+      val along = rng.nextInt((extent / step).toInt) * step
+      val road  = rng.nextInt((extent / gap).toInt) * gap
+      if (rng.nextBoolean()) SnapshotRow(t, i.toLong, along, road)
+      else SnapshotRow(t, i.toLong, road, along)
+    }
+  }
 
   test("gridAllocate emits exactly one data object at the home cell") {
     val objs = RangeJoin.gridAllocate(SnapshotRow(1, 9L, 4.0, 8.0), 1.0, 3.0).toSeq
@@ -98,6 +114,32 @@ class RangeJoinSpec extends SparkSpec with PropSupport {
     }
   }
 
+  test("equal y across a cell border: one report, from the smaller id's probe") {
+    // Both points probe each other's cell; the tie-break keeps one report.
+    for ((a, b) <- Seq((1L, 2L), (2L, 1L))) {
+      val rows = Seq(SnapshotRow(1, a, 2.9, 1.0), SnapshotRow(1, b, 3.1, 1.0))
+      assert(localJoin(rows, 1.0, 3.0) == Seq(NeighborPair(1, 1, 2)))
+    }
+  }
+
+  test("property: no duplicates in the raw pair stream on tie-heavy lattices") {
+    val caseGen = for {
+      step <- Gen.oneOf(0.1, 0.25, 0.5, 1.0)
+      gap <- Gen.oneOf(0.5, 1.0, 1.5, 3.0)
+      eps <- Gen.oneOf(0.3, 0.5, 1.0, 1.5)
+      lg <- Gen.oneOf(1.0, 2.0, 3.0, 4.5)
+      seed <- Gen.choose(0L, 10000L)
+    } yield (step, gap, eps, lg, seed)
+    forAllG(caseGen, n = 40) { case (step, gap, eps, lg, seed) =>
+      val rows = lattice(seed, n = 120, times = 2, step, gap, extent = 15.0)
+      val got = localJoin(rows, eps, lg)
+      assert(got.distinct.length == got.length, "Lemma 1 with the y/id tie-break reports each pair once")
+      // Lattice steps such as 0.1 put neighbours exactly eps apart up to
+      // rounding: the join must decide them as the reference does.
+      assert(got.sortBy(p => (p.time, p.a, p.b)) == Reference.rangeJoin(rows, eps))
+    }
+  }
+
   test("points with identical coordinates join pairwise") {
     val rows = (1L to 5L).map(i => SnapshotRow(1, i, 10.0, 10.0))
     val got = localJoin(rows, 1.0, 3.0).distinct
@@ -113,19 +155,30 @@ class RangeJoinSpec extends SparkSpec with PropSupport {
 
   test("distributed rjc matches DuckDB oracle") {
     val rng = new Random(11)
-    val rows = for (t <- 1 to 2; i <- 0 until 120) yield
+    val random = for (t <- 1 to 2; i <- 0 until 120) yield
       SnapshotRow(t, i.toLong, rng.nextDouble() * 30, rng.nextDouble() * 30)
-    val snapDf = spark.createDataset(rows).toDF()
-    val joined = RangeJoin.rjc(spark.createDataset(rows), 2.5, 6.0).toDF()
-    Oracle.assertEquivalent(joined,
-      """SELECT CAST(a.time AS INT) AS time,
-        |       CAST(a.id AS BIGINT) AS a, CAST(b.id AS BIGINT) AS b
-        |FROM snap a JOIN snap b
-        |  ON a.time = b.time
-        | AND CAST(a.id AS BIGINT) < CAST(b.id AS BIGINT)
-        | AND abs(CAST(a.x AS DOUBLE) - CAST(b.x AS DOUBLE)) <= 2.5
-        | AND abs(CAST(a.y AS DOUBLE) - CAST(b.y AS DOUBLE)) <= 2.5""".stripMargin,
-      "snap" -> snapDf)
+    // Tie-heavy: many points share y across cell borders, and steps of 0.1
+    // put many pairs eps apart up to rounding.
+    val tied = lattice(seed = 3, n = 200, times = 2, step = 0.1, gap = 1.5, extent = 24.0)
+    val byId = tied.map(r => (r.time, r.id) -> r).toMap
+    assert(Reference.rangeJoin(tied, 1.0).exists { pr =>
+      val (a, b) = (byId((pr.time, pr.a)), byId((pr.time, pr.b)))
+      a.y == b.y && repro.index.Grid.key(a.x, a.y, 3.0) != repro.index.Grid.key(b.x, b.y, 3.0)
+    })
+    for ((rows, eps, lg) <- Seq((random, 2.5, 6.0), (tied, 1.0, 3.0))) {
+      val snapDf = spark.createDataset(rows).toDF()
+      val joined = RangeJoin.rjc(spark.createDataset(rows), eps, lg)
+      assert(joined.collect().toSeq.sortBy(p => (p.time, p.a, p.b)) == Reference.rangeJoin(rows, eps))
+      Oracle.assertEquivalent(joined.toDF(),
+        s"""SELECT CAST(a.time AS INT) AS time,
+           |       CAST(a.id AS BIGINT) AS a, CAST(b.id AS BIGINT) AS b
+           |FROM snap a JOIN snap b
+           |  ON a.time = b.time
+           | AND CAST(a.id AS BIGINT) < CAST(b.id AS BIGINT)
+           | AND abs(CAST(a.x AS DOUBLE) - CAST(b.x AS DOUBLE)) <= $eps
+           | AND abs(CAST(a.y AS DOUBLE) - CAST(b.y AS DOUBLE)) <= $eps""".stripMargin,
+        "snap" -> snapDf)
+    }
   }
 
   test("rjc on an empty snapshot set") {

@@ -73,9 +73,12 @@ class FbaVbaUnitSpec extends AnyFunSuite {
     val st = new VbaState(1L)
     (1 to 5).foreach(t => VBA.onSnapshot(st, t, Set(2L), c))
     (6 to 8).foreach(t => VBA.onSnapshot(st, t, Set.empty, c))
+    assert(st.cands.map(v => (v.id, v.st, v.et)) == Seq((2L, 1, 5)))
     VBA.onSnapshot(st, 9, Set(2L), c)
     assert(st.open(2L).st == 9)
-    assert(st.cands.map(v => (v.id, v.st, v.et)) == Seq((2L, 1, 5)))
+    // Nothing open starts before 9, so <1,5> can never again share K = 4
+    // snapshots with a new candidate (Lemma 8): evicted.
+    assert(st.cands.isEmpty)
   }
 
   test("VBA: an episode with multiple valid components yields several candidates") {
@@ -96,11 +99,52 @@ class FbaVbaUnitSpec extends AnyFunSuite {
     // o2 co-moves during [1,6], o3 during [20,26]: both valid candidates but
     // their spans cannot overlap in K=4 common times — no triple pattern.
     (1 to 6).foreach(t => VBA.onSnapshot(st, t, Set(2L), cl))
-    (7 to 19).foreach(t => VBA.onSnapshot(st, t, Set.empty, cl))
+    (7 to 9).foreach(t => VBA.onSnapshot(st, t, Set.empty, cl))
+    assert(st.cands.map(v => (v.id, v.st, v.et)) == Seq((2L, 1, 6)))
+    (10 to 19).foreach(t => VBA.onSnapshot(st, t, Set.empty, cl))
     val emitted = (20 to 26).flatMap(t => VBA.onSnapshot(st, t, Set(3L), cl)) ++
       VBA.flush(st, cl)
     assert(emitted.isEmpty)
-    assert(st.cands.length == 2)
+    // o2's candidate was evicted once nothing open could overlap it by K.
+    assert(st.cands.map(v => (v.id, v.st, v.et)) == Seq((3L, 20, 26)))
+  }
+
+  test("VBA: a long open entry keeps an overlapping candidate that pairs later") {
+    val cl = Constraints(3, 4, 2, 2)
+    val st = new VbaState(1L)
+    // o2 co-moves throughout [1,12]; o3 only during [1,6]. o3's candidate
+    // finalizes at 9 and must survive eviction while o2's entry is open.
+    val emitted = (1 to 12).flatMap(t =>
+      VBA.onSnapshot(st, t, if (t <= 6) Set(2L, 3L) else Set(2L), cl)) ++ VBA.flush(st, cl)
+    assert(Reference.distinctObjectSets(emitted.map(_.pattern)) == Set(Seq(1L, 2L, 3L)))
+  }
+
+  test("VBA soak: retained candidates stay bounded over 10k snapshots, patterns equal FBA") {
+    val cl = Constraints(3, 4, 2, 2)
+    val rng = new scala.util.Random(17)
+    val companions = (2L to 9L).toVector
+    val st = new VbaState(1L)
+    val vba = Vector.newBuilder[Emitted]
+    var members = Set.empty[Long]
+    var p = parts()
+    var maxCands, maxOpen = 0
+    for (t <- 1 to 10000) {
+      // Churn: the anchor's cluster is re-drawn at ~30% of the snapshots.
+      if (rng.nextDouble() < 0.3) members = companions.filter(_ => rng.nextDouble() < 0.4).toSet
+      p += t -> members
+      vba ++= VBA.onSnapshot(st, t, members, cl)
+      maxCands = math.max(maxCands, st.cands.length)
+      maxOpen = math.max(maxOpen, st.open.size)
+    }
+    vba ++= VBA.flush(st, cl)
+    val vbaSets = Reference.distinctObjectSets(vba.result().map(_.pattern))
+    assert(vbaSets.size > 10, "the stream must produce many distinct patterns")
+    assert(vbaSets == Reference.distinctObjectSets(FBA.detect(1L, p, cl).map(_.pattern)))
+    // One open entry per companion at most; candidates are evicted once no
+    // open entry can overlap them by K, so they stay within a few per
+    // companion instead of growing with the stream.
+    assert(maxOpen <= companions.length)
+    assert(maxCands <= 4 * companions.length, s"max retained candidates $maxCands")
   }
 
   test("VBA: same-snapshot finalizations can pair up") {

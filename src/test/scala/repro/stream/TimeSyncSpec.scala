@@ -107,4 +107,94 @@ class TimeSyncSpec extends AnyFunSuite {
     assert(out.map(_._1) == Seq(1)) // snapshot 1 decidable: traj 2 absent
     assert(out.head._2.map(_.id) == Seq(1L))
   }
+
+  test("duplicate, stale, malformed and non-finite records are dropped and counted") {
+    val sync = new TimeSync(expected = Set(1L, 2L))
+    sync.add(gps(1, 0, -1)); sync.add(gps(2, 0, -1)) // snapshot 0 out
+    assert(sync.add(gps(1, 0, -1)).isEmpty)           // resent after release: stale
+    sync.add(gps(1, 2, 1))                             // waits for time 1
+    sync.add(gps(1, 2, 1))                             // second copy waiting: duplicate
+    sync.add(Gps(2, 1, Double.NaN, 2.0, 0))
+    sync.add(Gps(2, 1, 1.0, Double.NegativeInfinity, 0))
+    sync.add(gps(2, 1, 1))                             // lastTime not before time
+    assert(sync.dropped == TimeSync.Drops(nonFinite = 2, badLastTime = 1, stale = 1, duplicate = 1))
+    assert(sync.heldRecords == 1) // trajectory 1's record at time 2
+    val out = sync.add(gps(1, 1, 0)) ++ sync.add(gps(2, 1, 0)) ++ sync.add(gps(2, 2, 1))
+    assert(out.map(_._1) == Seq(1, 2))
+    assert(out.map(_._2.map(_.id).sorted) == Seq(Seq(1L, 2L), Seq(1L, 2L)))
+    assert(out.forall(_._2.forall(r => r.x.isFinite && r.y.isFinite)))
+    assert(sync.heldRecords == 0)
+    assert(sync.dropped.total == 5)
+  }
+
+  test("a waiting record that contradicts the released chain is dropped as stale") {
+    val sync = new TimeSync
+    sync.add(gps(1, 0, -1))
+    sync.add(gps(1, 3, 1)) // claims a report at 1
+    assert(sync.heldRecords == 1)
+    // The report after 0 is at 2, so nothing was reported at 1.
+    assert(sync.add(gps(1, 2, 0)).map(_._1) == Seq(1, 2))
+    assert(sync.dropped == TimeSync.Drops(stale = 1))
+    assert(sync.heldRecords == 0)
+  }
+
+  test("an unregistered trajectory whose first snapshot was released joins later") {
+    val sync = new TimeSync
+    sync.add(gps(1, 0, -1)); sync.add(gps(1, 1, 0)) // snapshots 0, 1 out
+    assert(sync.add(gps(2, 0, -1)).isEmpty) // snapshot 0 is gone: dropped
+    assert(sync.dropped == TimeSync.Drops(stale = 1))
+    sync.add(gps(2, 2, 0))
+    val out = sync.add(gps(1, 2, 1))
+    assert(out.map(_._1) == Seq(2))
+    assert(out.head._2.map(_.id).sorted == Seq(1L, 2L))
+    assert(sync.heldRecords == 0)
+  }
+
+  test("close() counts records waiting for a lost predecessor as unresolved") {
+    val sync = new TimeSync
+    sync.add(gps(1, 0, -1))
+    sync.add(gps(1, 5, 3)) // the report at 3 never arrives
+    assert(sync.close().isEmpty)
+    assert(sync.dropped == TimeSync.Drops(unresolved = 1))
+    assert(sync.heldRecords == 0)
+  }
+
+  test("held records stay bounded on a long stream with faulty records") {
+    val rng = new Random(11)
+    val n = 5; val times = 2000
+    val sync = new TimeSync(expected = (1L to n).toSet)
+    var injectedResends, injectedNonFinite, maxHeld = 0L
+    val emitted = scala.collection.mutable.ArrayBuffer.empty[(Int, Seq[Gps])]
+    var sent, late = Vector.empty[Gps]
+    // Batches of three snapshots, shuffled, with ~5% of the records held
+    // back one batch (disorder within and across trajectories), plus resent
+    // copies and non-finite records.
+    for (t0 <- 0 until times by 3) {
+      val fresh = for (id <- 1 to n; t <- t0 until math.min(t0 + 3, times)) yield gps(id, t, t - 1)
+      val (delayed, onTime) = fresh.partition(_ => rng.nextDouble() < 0.05)
+      val pool = sent ++ fresh
+      val resent = Vector.fill(rng.nextInt(3))(pool(rng.nextInt(pool.length)))
+      val broken = Vector.fill(rng.nextInt(2))(fresh(rng.nextInt(fresh.length)).copy(x = Double.NaN))
+      injectedResends += resent.length
+      injectedNonFinite += broken.length
+      sent ++= fresh
+      emitted ++= sync.addAll(rng.shuffle(late ++ onTime ++ resent ++ broken))
+      late = delayed.toVector
+      maxHeld = math.max(maxHeld, sync.heldRecords)
+    }
+    emitted ++= sync.addAll(late)
+    assert(injectedResends > 100 && injectedNonFinite > 100)
+    assert(emitted.map(_._1) == (0 until times))
+    emitted.foreach { case (t, recs) =>
+      assert(recs.map(_.id).sorted == (1L to n))
+      assert(recs.forall(r => r.time == t && r.x.isFinite))
+    }
+    val d = sync.dropped
+    assert(d.stale + d.duplicate == injectedResends)
+    assert(d.nonFinite == injectedNonFinite)
+    assert(d.badLastTime == 0 && d.unresolved == 0)
+    assert(sync.heldRecords == 0)
+    // A record held back blocks at most the snapshots of its own batch.
+    assert(maxHeld > 0 && maxHeld <= 3 * n, s"held records: $maxHeld")
+  }
 }
