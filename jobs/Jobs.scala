@@ -2,6 +2,7 @@ package repro.jobs
 
 import org.apache.spark.sql.SparkSession
 import repro.bench.Figures
+import scala.collection.immutable.ListMap
 
 /** Shared session bootstrap for the spark-submit entrypoints. */
 object JobSession {
@@ -15,58 +16,23 @@ object JobSession {
       .getOrCreate()
 }
 
-/** Table 2: dataset statistics of the scaled substitutes. */
-object Table2Job {
-  def main(args: Array[String]): Unit = {
-    val spark = JobSession.create("table2")
-    try Figures.table2(spark) finally spark.stop()
-  }
-}
+/** The paper's evaluation exhibits by name: `FigureJob table2` prints the
+  * dataset statistics, `fig10`/`fig11` clustering vs eps and l_g,
+  * `fig12`/`fig13`/`fig14` detection vs Or, eps and the node count N, and
+  * `fig15` enumeration vs the M/K/L/G constraints.
+  */
+object FigureJob {
+  private val figures = ListMap[String, SparkSession => Seq[Seq[String]]](
+    "table2" -> Figures.table2, "fig10" -> Figures.fig10, "fig11" -> Figures.fig11,
+    "fig12" -> Figures.fig12, "fig13" -> Figures.fig13, "fig14" -> Figures.fig14,
+    "fig15" -> Figures.fig15)
 
-/** Fig 10: clustering latency/throughput vs the distance threshold eps. */
-object Fig10Job {
-  def main(args: Array[String]): Unit = {
-    val spark = JobSession.create("fig10")
-    try Figures.fig10(spark) finally spark.stop()
-  }
-}
-
-/** Fig 11: clustering latency/throughput vs the grid cell width l_g. */
-object Fig11Job {
-  def main(args: Array[String]): Unit = {
-    val spark = JobSession.create("fig11")
-    try Figures.fig11(spark) finally spark.stop()
-  }
-}
-
-/** Fig 12: pattern detection vs the object ratio Or (B, F, V). */
-object Fig12Job {
-  def main(args: Array[String]): Unit = {
-    val spark = JobSession.create("fig12")
-    try Figures.fig12(spark) finally spark.stop()
-  }
-}
-
-/** Fig 13: pattern detection vs eps (F, V). */
-object Fig13Job {
-  def main(args: Array[String]): Unit = {
-    val spark = JobSession.create("fig13")
-    try Figures.fig13(spark) finally spark.stop()
-  }
-}
-
-/** Fig 14: pattern detection vs the simulated node count N (F, V). */
-object Fig14Job {
-  def main(args: Array[String]): Unit = {
-    val spark = JobSession.create("fig14")
-    try Figures.fig14(spark) finally spark.stop()
-  }
-}
-
-/** Fig 15: pattern enumeration vs the M/K/L/G constraints (FBA, VBA). */
-object Fig15Job {
-  def main(args: Array[String]): Unit = {
-    val spark = JobSession.create("fig15")
-    try Figures.fig15(spark) finally spark.stop()
+  def main(args: Array[String]): Unit = args.toSeq match {
+    case Seq(name) if figures.contains(name) =>
+      val spark = JobSession.create(name)
+      try figures(name)(spark) finally spark.stop()
+    case _ =>
+      Console.err.println(s"usage: FigureJob <${figures.keys.mkString("|")}>")
+      sys.exit(2)
   }
 }

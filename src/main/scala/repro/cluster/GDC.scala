@@ -1,7 +1,7 @@
 package repro.cluster
 
 import org.apache.spark.sql.Dataset
-import repro.core.{GridObject, NeighborPair, SnapshotRow}
+import repro.core.{GridObject, NeighborPair, RangeJoin, SnapshotRow}
 import repro.index.Grid
 import scala.collection.mutable.ArrayBuffer
 
@@ -38,27 +38,22 @@ object GDC {
 
     val time = data.head.time
     val out = new ArrayBuffer[NeighborPair]()
-    def near(a: GridObject, b: GridObject): Boolean =
-      math.abs(a.x - b.x) <= eps && math.abs(a.y - b.y) <= eps
     var i = 0
     while (i < data.length) {
       var j = i + 1
       while (j < data.length) {
-        if (near(data(i), data(j)))
-          out += canon(time, data(i).id, data(j).id)
+        if (RangeJoin.within(data(i), data(j), eps))
+          out += RangeJoin.canon(time, data(i).id, data(j).id)
         j += 1
       }
       queries.foreach { q =>
-        if (q.id != data(i).id && near(q, data(i)))
-          out += canon(time, q.id, data(i).id)
+        if (q.id != data(i).id && RangeJoin.within(q, data(i), eps))
+          out += RangeJoin.canon(time, q.id, data(i).id)
       }
       i += 1
     }
     out.iterator
   }
-
-  private def canon(time: Int, a: Long, b: Long): NeighborPair =
-    if (a < b) NeighborPair(time, a, b) else NeighborPair(time, b, a)
 
   def join(snapshots: Dataset[SnapshotRow], eps: Double): Dataset[NeighborPair] = {
     val spark = snapshots.sparkSession

@@ -1,8 +1,8 @@
 package repro.cluster
 
 import org.apache.spark.sql.Dataset
-import repro.core.{GridObject, NeighborPair, SnapshotRow}
-import repro.index.{Grid, RTree}
+import repro.core.{GridObject, NeighborPair, RangeJoin, SnapshotRow}
+import repro.index.{Grid, RTree, Rect}
 import scala.collection.mutable.ArrayBuffer
 
 /** Clustering baseline **SRJ** — the streaming range join of Zhang et al.
@@ -18,6 +18,8 @@ import scala.collection.mutable.ArrayBuffer
   *    query-while-building).
   * Both data-data pairs and cross-cell pairs are therefore found twice and
   * must be de-duplicated in the sync step — the redundancy RJC removes.
+  * Region edges are decided as in RJC: replication and R-tree bounds are
+  * widened by `Grid.slack` and each hit passes the exact neighbour test.
   */
 object SRJ {
 
@@ -36,14 +38,14 @@ object SRJ {
     if (data.isEmpty) return Iterator.empty
 
     val time = data.head.time
-    val rt = new RTree()
-    data.foreach(o => rt.insert(o.id, o.x, o.y))
+    val rt = new RTree() // payload: the data object's index in `data`
+    data.indices.foreach(i => rt.insert(i, data(i).x, data(i).y))
 
     val out = new ArrayBuffer[NeighborPair]()
     (data.iterator ++ queries.iterator).foreach { o =>
-      rt.rangeQuery(o.x, o.y, eps).foreach { v =>
-        if (v != o.id) out += (if (o.id < v) NeighborPair(time, o.id, v)
-                               else NeighborPair(time, v, o.id))
+      rt.query(Rect.range(o.x, o.y, eps + Grid.slack(o.x, o.y, eps))).foreach { j =>
+        val v = data(j.toInt)
+        if (v.id != o.id && RangeJoin.within(o, v, eps)) out += RangeJoin.canon(time, o.id, v.id)
       }
     }
     out.iterator

@@ -75,12 +75,13 @@ object RangeJoin {
   }
 
   /** The neighbour test, with the same arithmetic as `Reference.rangeJoin`
-    * and the SQL oracle.
+    * and the SQL oracle; shared by RJC and the SRJ/GDC baselines.
     */
-  private def within(a: GridObject, b: GridObject, eps: Double): Boolean =
+  private[repro] def within(a: GridObject, b: GridObject, eps: Double): Boolean =
     math.abs(a.x - b.x) <= eps && math.abs(a.y - b.y) <= eps
 
-  private def canon(time: Int, a: Long, b: Long): NeighborPair =
+  /** The pair with the smaller id first. */
+  private[repro] def canon(time: Int, a: Long, b: Long): NeighborPair =
     if (a < b) NeighborPair(time, a, b) else NeighborPair(time, b, a)
 
   /** The full distributed join: allocate, shuffle by (time, cell), query per

@@ -47,14 +47,16 @@ object Grid {
     keys
   }
 
-  /** All cells intersecting the *full* range region — the replication used
-    * by the SRJ baseline (no Lemma 1), again excluding the home cell.
+  /** All cells intersecting the *full* range region (bounds widened by
+    * [[slack]]) — the replication used by the SRJ baseline (no Lemma 1),
+    * again excluding the home cell.
     */
   def fullQueryKeys(x: Double, y: Double, lg: Double, eps: Double): Seq[Long] = {
     val home = key(x, y, lg)
+    val r = eps + slack(x, y, eps)
     val keys = for {
-      cx <- cell(x - eps, lg) to cell(x + eps, lg)
-      cy <- cell(y - eps, lg) to cell(y + eps, lg)
+      cx <- cell(x - r, lg) to cell(x + r, lg)
+      cy <- cell(y - r, lg) to cell(y + r, lg)
       k = pack(cx, cy) if k != home
     } yield k
     keys

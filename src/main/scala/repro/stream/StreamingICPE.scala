@@ -1,7 +1,7 @@
 package repro.stream
 
 import org.apache.spark.sql.{Dataset, SparkSession}
-import org.apache.spark.sql.streaming.{GroupState, GroupStateTimeout, OutputMode, StreamingQuery}
+import org.apache.spark.sql.streaming.{OutputMode, StreamingQuery}
 import org.slf4j.LoggerFactory
 import repro.core._
 import repro.enumeration._
@@ -106,65 +106,5 @@ final case class BatchProgress(batchId: Long, recordsIn: Long, dropped: TimeSync
       s""""unresolved":${d.unresolved}},"snapshotsReleased":$snapshotsReleased,""" +
       s""""clusters":$clusters,"liveAnchors":$liveAnchors,"openEntries":$openEntries,""" +
       s""""retainedCandidates":$retainedCandidates,"heldRecords":$heldRecords}"""
-  }
-}
-
-/** Pure Structured Streaming pattern enumeration: VBA as keyed state inside
-  * `flatMapGroupsWithState` — the exact analogue of a Flink keyed process
-  * function with managed state. Input is a stream of per-subtask partition
-  * ticks (one per known anchor per snapshot; empty `others` = zero bit).
-  */
-object StreamingVba {
-
-  /** One subtask tick: the partition P_time(anchor), possibly empty. */
-  final case class Tick(time: Int, anchor: Long, others: Seq[Long])
-
-  /** Serializable image of [[VbaState]] for Spark's state store. */
-  final case class OpenSer(id: Long, st: Int, bits: String)
-  final case class CandSer(id: Long, st: Int, et: Int, bits: String)
-  final case class StateSer(lastTime: Int, open: Seq[OpenSer], cands: Seq[CandSer])
-
-  def toSer(s: VbaState): StateSer = StateSer(
-    s.lastTime,
-    s.open.toSeq.map { case (id, e) =>
-      OpenSer(id, e.st, e.bits.map(b => if (b) '1' else '0').mkString)
-    },
-    s.cands.toSeq.map { v =>
-      CandSer(v.id, v.st, v.et, (0 until v.bits.length).map(i => if (v.bits(i)) '1' else '0').mkString)
-    },
-  )
-
-  def fromSer(anchor: Long, ser: StateSer): VbaState = {
-    val s = new VbaState(anchor)
-    s.lastTime = ser.lastTime
-    ser.open.foreach { o =>
-      val e = new VbaState.OpenEntry(o.st)
-      o.bits.foreach(ch => e.append(ch == '1'))
-      s.open(o.id) = e
-    }
-    ser.cands.foreach { cd =>
-      s.cands += VarBits(cd.id, cd.st, cd.et, Bits.parse(cd.bits))
-    }
-    s
-  }
-
-  def update(c: Constraints)(anchor: Long, ticks: Iterator[Tick],
-                             state: GroupState[StateSer]): Iterator[Emitted] = {
-    val s = state.getOption.map(fromSer(anchor, _)).getOrElse(new VbaState(anchor))
-    val out = Seq.newBuilder[Emitted]
-    ticks.toSeq.sortBy(_.time).foreach { tick =>
-      if (s.lastTime == Int.MinValue || tick.time > s.lastTime)
-        out ++= VBA.onSnapshot(s, tick.time, tick.others.toSet, c)
-    }
-    state.update(toSer(s))
-    out.result().iterator
-  }
-
-  /** Attach VBA to a streaming tick Dataset. */
-  def attach(ticks: Dataset[Tick], c: Constraints): Dataset[Emitted] = {
-    val spark = ticks.sparkSession
-    import spark.implicits._
-    ticks.groupByKey(_.anchor)
-      .flatMapGroupsWithState(OutputMode.Append(), GroupStateTimeout.NoTimeout)(update(c))
   }
 }

@@ -1,6 +1,7 @@
 package repro
 
 import repro.core._
+import scala.util.Random
 
 /** Shared fixtures, most importantly the paper's running example (Fig. 2,
   * decoded through the worked examples of §3.1, §6.1–6.3 and Figs. 7–9).
@@ -76,4 +77,30 @@ object TestData {
   /** Build cluster rows from (time, members…) shorthand. */
   def clusters(rows: (Int, Seq[Seq[Long]])*): Seq[ClusterRow] =
     rows.flatMap { case (t, sets) => sets.map(ms => ClusterRow(t, ms.min, ms.sorted)) }
+
+  /** Road-lattice snapshots: every point sits on a horizontal or vertical
+    * road (one coordinate a multiple of `gap`) at a position that is a
+    * multiple of `step` along it, so many points share y across cell
+    * borders, where both points' query objects probe each other's cell.
+    */
+  def lattice(seed: Long, n: Int, times: Int, step: Double, gap: Double,
+              extent: Double): Seq[SnapshotRow] = {
+    val rng = new Random(seed)
+    for (t <- 1 to times; i <- 0 until n) yield {
+      val along = rng.nextInt((extent / step).toInt) * step
+      val road  = rng.nextInt((extent / gap).toInt) * gap
+      if (rng.nextBoolean()) SnapshotRow(t, i.toLong, along, road)
+      else SnapshotRow(t, i.toLong, road, along)
+    }
+  }
+
+  /** The range join over table `snap` in SQL, for the DuckDB oracle. */
+  def rangeJoinSql(eps: Double): String =
+    s"""SELECT CAST(a.time AS INT) AS time,
+       |       CAST(a.id AS BIGINT) AS a, CAST(b.id AS BIGINT) AS b
+       |FROM snap a JOIN snap b
+       |  ON a.time = b.time
+       | AND CAST(a.id AS BIGINT) < CAST(b.id AS BIGINT)
+       | AND abs(CAST(a.x AS DOUBLE) - CAST(b.x AS DOUBLE)) <= $eps
+       | AND abs(CAST(a.y AS DOUBLE) - CAST(b.y AS DOUBLE)) <= $eps""".stripMargin
 }

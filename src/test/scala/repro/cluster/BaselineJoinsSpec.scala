@@ -1,7 +1,7 @@
 package repro.cluster
 
 import org.scalacheck.Gen
-import repro.{Oracle, PropSupport, SparkSpec}
+import repro.{Oracle, PropSupport, SparkSpec, TestData}
 import repro.core.{RangeJoin, Reference, SnapshotRow}
 import scala.util.Random
 
@@ -65,12 +65,17 @@ class BaselineJoinsSpec extends SparkSpec with PropSupport {
   }
 
   test("property: SRJ/GDC/RJC equal the naive join") {
-    val caseGen = for {
+    val randomCase = for {
       seed <- Gen.choose(0L, 9999L); n <- Gen.choose(10, 60)
       eps <- Gen.choose(0.5, 4.0); lg <- Gen.choose(2.0, 10.0)
-    } yield (seed, n, eps, lg)
-    forAllG(caseGen, n = 6) { case (seed, n, eps, lg) =>
-      val rows = randomRows(seed, n, 1)
+    } yield (randomRows(seed, n, 1), eps, lg)
+    // Lattice steps of 0.1 put many pairs eps apart up to rounding, and
+    // many points share y across cell borders.
+    val latticeCase = for {
+      seed <- Gen.choose(0L, 9999L); gap <- Gen.oneOf(0.5, 1.0, 1.5, 3.0)
+      eps <- Gen.oneOf(0.3, 0.5, 1.0, 1.5); lg <- Gen.oneOf(1.0, 2.0, 3.0, 4.5)
+    } yield (TestData.lattice(seed, n = 120, times = 1, step = 0.1, gap, extent = 15.0), eps, lg)
+    forAllG(Gen.oneOf(randomCase, latticeCase), n = 12) { case (rows, eps, lg) =>
       val ds = spark.createDataset(rows)
       val expected = Reference.rangeJoin(rows, eps)
       assert(RangeJoin.rjc(ds, eps, lg).collect().toSeq.sortBy(p => (p.a, p.b)) == expected)
@@ -83,13 +88,7 @@ class BaselineJoinsSpec extends SparkSpec with PropSupport {
     val rows = randomRows(13, 100, 1)
     val joined = SRJ.join(spark.createDataset(rows), 3.0, 6.0).toDF()
     Oracle.assertEquivalent(joined,
-      """SELECT CAST(a.time AS INT) AS time,
-        |       CAST(a.id AS BIGINT) AS a, CAST(b.id AS BIGINT) AS b
-        |FROM snap a JOIN snap b
-        |  ON a.time = b.time
-        | AND CAST(a.id AS BIGINT) < CAST(b.id AS BIGINT)
-        | AND abs(CAST(a.x AS DOUBLE) - CAST(b.x AS DOUBLE)) <= 3.0
-        | AND abs(CAST(a.y AS DOUBLE) - CAST(b.y AS DOUBLE)) <= 3.0""".stripMargin,
+      TestData.rangeJoinSql(3.0),
       "snap" -> spark.createDataset(rows).toDF())
   }
 
@@ -97,13 +96,7 @@ class BaselineJoinsSpec extends SparkSpec with PropSupport {
     val rows = randomRows(17, 100, 1)
     val joined = GDC.join(spark.createDataset(rows), 2.5).toDF()
     Oracle.assertEquivalent(joined,
-      """SELECT CAST(a.time AS INT) AS time,
-        |       CAST(a.id AS BIGINT) AS a, CAST(b.id AS BIGINT) AS b
-        |FROM snap a JOIN snap b
-        |  ON a.time = b.time
-        | AND CAST(a.id AS BIGINT) < CAST(b.id AS BIGINT)
-        | AND abs(CAST(a.x AS DOUBLE) - CAST(b.x AS DOUBLE)) <= 2.5
-        | AND abs(CAST(a.y AS DOUBLE) - CAST(b.y AS DOUBLE)) <= 2.5""".stripMargin,
+      TestData.rangeJoinSql(2.5),
       "snap" -> spark.createDataset(rows).toDF())
   }
 }

@@ -1,12 +1,14 @@
 package repro.core
 
+import org.apache.spark.sql.functions.{avg, col, count, lit, round}
 import org.scalacheck.Gen
 import repro.{Oracle, PropSupport, SparkSpec, TestData}
+import repro.traj.{TrajConfig, TrajGen}
 import scala.util.Random
 
 /** RJC range join tests: GridAllocate/GridQuery unit behavior, Lemma 1/2
-  * duplicate avoidance, equivalence with the naive join, and the DuckDB SQL
-  * oracle on the distributed result.
+  * duplicate avoidance, equivalence with the naive join, the DuckDB SQL
+  * oracle on the distributed result, and the oracle's own negative controls.
   */
 class RangeJoinSpec extends SparkSpec with PropSupport {
 
@@ -22,22 +24,6 @@ class RangeJoinSpec extends SparkSpec with PropSupport {
       .iterator
       .flatMap { case (_, objs) => RangeJoin.gridQuery(objs.iterator, eps) }
       .toSeq
-
-  /** Road-lattice snapshots: every point sits on a horizontal or vertical
-    * road (one coordinate a multiple of `gap`) at a position that is a
-    * multiple of `step` along it, so many points share y across cell
-    * borders, where both points' query objects probe each other's cell.
-    */
-  private def lattice(seed: Long, n: Int, times: Int, step: Double, gap: Double,
-                      extent: Double): Seq[SnapshotRow] = {
-    val rng = new Random(seed)
-    for (t <- 1 to times; i <- 0 until n) yield {
-      val along = rng.nextInt((extent / step).toInt) * step
-      val road  = rng.nextInt((extent / gap).toInt) * gap
-      if (rng.nextBoolean()) SnapshotRow(t, i.toLong, along, road)
-      else SnapshotRow(t, i.toLong, road, along)
-    }
-  }
 
   test("gridAllocate emits exactly one data object at the home cell") {
     val objs = RangeJoin.gridAllocate(SnapshotRow(1, 9L, 4.0, 8.0), 1.0, 3.0).toSeq
@@ -131,7 +117,7 @@ class RangeJoinSpec extends SparkSpec with PropSupport {
       seed <- Gen.choose(0L, 10000L)
     } yield (step, gap, eps, lg, seed)
     forAllG(caseGen, n = 40) { case (step, gap, eps, lg, seed) =>
-      val rows = lattice(seed, n = 120, times = 2, step, gap, extent = 15.0)
+      val rows = TestData.lattice(seed, n = 120, times = 2, step, gap, extent = 15.0)
       val got = localJoin(rows, eps, lg)
       assert(got.distinct.length == got.length, "Lemma 1 with the y/id tie-break reports each pair once")
       // Lattice steps such as 0.1 put neighbours exactly eps apart up to
@@ -159,7 +145,7 @@ class RangeJoinSpec extends SparkSpec with PropSupport {
       SnapshotRow(t, i.toLong, rng.nextDouble() * 30, rng.nextDouble() * 30)
     // Tie-heavy: many points share y across cell borders, and steps of 0.1
     // put many pairs eps apart up to rounding.
-    val tied = lattice(seed = 3, n = 200, times = 2, step = 0.1, gap = 1.5, extent = 24.0)
+    val tied = TestData.lattice(seed = 3, n = 200, times = 2, step = 0.1, gap = 1.5, extent = 24.0)
     val byId = tied.map(r => (r.time, r.id) -> r).toMap
     assert(Reference.rangeJoin(tied, 1.0).exists { pr =>
       val (a, b) = (byId((pr.time, pr.a)), byId((pr.time, pr.b)))
@@ -169,16 +155,58 @@ class RangeJoinSpec extends SparkSpec with PropSupport {
       val snapDf = spark.createDataset(rows).toDF()
       val joined = RangeJoin.rjc(spark.createDataset(rows), eps, lg)
       assert(joined.collect().toSeq.sortBy(p => (p.time, p.a, p.b)) == Reference.rangeJoin(rows, eps))
-      Oracle.assertEquivalent(joined.toDF(),
-        s"""SELECT CAST(a.time AS INT) AS time,
-           |       CAST(a.id AS BIGINT) AS a, CAST(b.id AS BIGINT) AS b
-           |FROM snap a JOIN snap b
-           |  ON a.time = b.time
-           | AND CAST(a.id AS BIGINT) < CAST(b.id AS BIGINT)
-           | AND abs(CAST(a.x AS DOUBLE) - CAST(b.x AS DOUBLE)) <= $eps
-           | AND abs(CAST(a.y AS DOUBLE) - CAST(b.y AS DOUBLE)) <= $eps""".stripMargin,
-        "snap" -> snapDf)
+      Oracle.assertEquivalent(joined.toDF(), TestData.rangeJoinSql(eps), "snap" -> snapDf)
     }
+  }
+
+  /** A small generated trajectory stream for the oracle's own checks. */
+  private lazy val trajRows: Seq[SnapshotRow] =
+    TrajGen.generate(spark, TrajConfig(nObjects = 60, nSnapshots = 8, world = 2000.0,
+      nGroups = 4, groupSizeMin = 4, groupSizeMax = 6, nHubs = 3, hubSigma = 10,
+      speed = 2.0, dropout = 0.05, seed = 11L)).collect().toSeq
+
+  /** Negative control: the oracle throws on a range join with a pair dropped,
+    * a pair added or a column misnamed.
+    */
+  test("oracle catches wrong results (negative control)") {
+    val eps = 4.0
+    val snap = spark.createDataset(trajRows).toDF()
+    val pairs = RangeJoin.rjc(spark.createDataset(trajRows), eps, 40.0).collect().toSeq
+    assert(pairs.nonEmpty)
+    Oracle.assertEquivalent(pairs.toDF(), TestData.rangeJoinSql(eps), "snap" -> snap)
+    val found = pairs.toSet
+    val extra = trajRows.iterator.flatMap { a =>
+      trajRows.iterator.filter(b => b.time == a.time && a.id < b.id)
+        .map(b => NeighborPair(a.time, a.id, b.id))
+    }.find(!found(_)).get
+    for (wrong <- Seq(pairs.tail.toDF(), (pairs :+ extra).toDF(),
+                      pairs.toDF().withColumnRenamed("b", "other")))
+      intercept[IllegalArgumentException] {
+        Oracle.assertEquivalent(wrong, TestData.rangeJoinSql(eps), "snap" -> snap)
+      }
+  }
+
+  test("oracle: count and average x per snapshot match DuckDB") {
+    val snap = spark.createDataset(trajRows).toDF()
+    val got = snap.groupBy("time").agg(count(lit(1)).as("cnt"), round(avg(col("x")), 2).as("avg_x"))
+    Oracle.assertEquivalent(got,
+      """SELECT CAST(time AS INT) AS time, COUNT(*) AS cnt,
+        |       ROUND(AVG(CAST(x AS DOUBLE)), 2) AS avg_x
+        |FROM snap GROUP BY CAST(time AS INT)""".stripMargin,
+      "snap" -> snap)
+  }
+
+  test("oracle: join of snapshot rows with a per-object table matches DuckDB") {
+    val snap = spark.createDataset(trajRows).toDF()
+    val objects = trajRows.map(_.id).distinct.map(id => (id, s"g${id % 3}")).toDF("oid", "grp")
+    val got = snap.join(objects, col("id") === col("oid"))
+      .groupBy("grp").agg(count(lit(1)).as("cnt"))
+    assert(got.count() == 3)
+    Oracle.assertEquivalent(got,
+      """SELECT grp, COUNT(*) AS cnt
+        |FROM snap JOIN objects ON CAST(id AS BIGINT) = CAST(oid AS BIGINT)
+        |GROUP BY grp""".stripMargin,
+      "snap" -> snap, "objects" -> objects)
   }
 
   test("rjc on an empty snapshot set") {

@@ -6,8 +6,8 @@ import repro.core._
 import repro.enumeration._
 import scala.collection.mutable
 
-/** Structured Streaming integration: the foreachBatch ICPE pipeline and the
-  * flatMapGroupsWithState VBA operator must match the batch results.
+/** Structured Streaming integration: the foreachBatch ICPE pipeline must
+  * match the batch results.
   */
 class StreamingSpec extends SparkSpec {
 
@@ -112,58 +112,5 @@ class StreamingSpec extends SparkSpec {
       """{"batchId":3,"recordsIn":10,"dropped":{"nonFinite":1,"badLastTime":0,"stale":2,""" +
       """"duplicate":0,"unresolved":0},"snapshotsReleased":1,"clusters":4,"liveAnchors":5,""" +
       """"openEntries":6,"retainedCandidates":7,"heldRecords":8}""")
-  }
-
-  test("StreamingVba (flatMapGroupsWithState) equals batch VBA") {
-    val c = TestData.goldenConstraints(2)
-    val parts = TestData.goldenClusters.flatMap(IdPartitioner.partitionsLocal(_, c.m))
-    val anchors = parts.map(_.anchor).distinct.sorted
-
-    // Ticks: one per (anchor, time) for every anchor over the full axis,
-    // plus G+1 trailing empty ticks so open sequences finalize (the same
-    // punctuation the driver pipeline applies at stream end).
-    val maxT = TestData.goldenClusters.map(_.time).max
-    val byKey = parts.map(p => (p.anchor, p.time) -> p.others).toMap
-    def ticksAt(t: Int): Seq[StreamingVba.Tick] =
-      anchors.map(a => StreamingVba.Tick(t, a, byKey.getOrElse((a, t), Nil)))
-
-    implicit val sqlCtx: org.apache.spark.sql.SQLContext = spark.sqlContext
-    val source = MemoryStream[StreamingVba.Tick]
-    val sink = StreamingVba.attach(source.toDS(), c)
-    val query = sink.writeStream.format("memory").queryName("vba_out")
-      .outputMode("append").start()
-    try {
-      for (t <- 1 to maxT + c.g + 1) {
-        source.addData(ticksAt(t))
-        query.processAllAvailable()
-      }
-    } finally query.stop()
-
-    val got = spark.table("vba_out").as[Emitted].collect().toSeq
-    val expected = anchors.flatMap { a =>
-      Enumeration.detectLocal(a, parts.filter(_.anchor == a).iterator, c, VbaMethod)
-    }
-    assert(Reference.distinctObjectSets(got.map(_.pattern)) ==
-      Reference.distinctObjectSets(expected.map(_.pattern)))
-    assert(Reference.distinctObjectSets(got.map(_.pattern)) == TestData.goldenPatternsM2)
-  }
-
-  test("StreamingVba state round-trips through serialization") {
-    val c = Constraints(2, 4, 2, 2)
-    val st = new VbaState(1L)
-    VBA.onSnapshot(st, 1, Set(2L, 3L), c)
-    VBA.onSnapshot(st, 2, Set(2L), c)
-    VBA.onSnapshot(st, 3, Set.empty, c)
-    val restored = StreamingVba.fromSer(1L, StreamingVba.toSer(st))
-    assert(restored.lastTime == st.lastTime)
-    assert(restored.open.keySet == st.open.keySet)
-    assert(restored.open(2L).st == st.open(2L).st)
-    assert(restored.open(2L).bits.toSeq == st.open(2L).bits.toSeq)
-    assert(restored.open(2L).zeros == st.open(2L).zeros)
-    assert(restored.cands.toSeq == st.cands.toSeq)
-    // Continuing from the restored state gives identical results.
-    val e1 = (4 to 12).flatMap(t => VBA.onSnapshot(st, t, Set.empty, c))
-    val e2 = (4 to 12).flatMap(t => VBA.onSnapshot(restored, t, Set.empty, c))
-    assert(e1 == e2)
   }
 }

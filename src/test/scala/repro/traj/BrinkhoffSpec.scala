@@ -69,10 +69,4 @@ class BrinkhoffSpec extends SparkSpec {
     assert((0L until total).forall(id => Brinkhoff.groupOf(cfg, id).isDefined))
     assert(Brinkhoff.groupOf(cfg, total).isEmpty)
   }
-
-  test("SynthData facade delegates to Brinkhoff") {
-    val viaFacade = repro.SynthData.brinkhoff(spark, cfg).collect().toSeq.sortBy(r => (r.time, r.id))
-    val direct = Brinkhoff.generate(spark, cfg).collect().toSeq.sortBy(r => (r.time, r.id))
-    assert(viaFacade == direct)
-  }
 }

@@ -79,10 +79,4 @@ class TrajGenSpec extends SparkSpec {
     val ep = TrajGen.episodes(new scala.util.Random(1), 500, 30, 4)
     assert(ep.count(identity) > 250 && ep.count(!_) > 10)
   }
-
-  test("SynthData facade delegates to the trajectory generators") {
-    val viaFacade = repro.SynthData.trajectories(spark, cfg).collect().toSeq.sortBy(r => (r.time, r.id))
-    val direct = TrajGen.generate(spark, cfg).collect().toSeq.sortBy(r => (r.time, r.id))
-    assert(viaFacade == direct)
-  }
 }
