@@ -3,7 +3,6 @@ package repro.cluster
 import org.apache.spark.sql.Dataset
 import repro.core.{GridObject, NeighborPair, RangeJoin, SnapshotRow}
 import repro.index.Grid
-import scala.collection.mutable.ArrayBuffer
 
 /** Clustering baseline **GDC** — grid-based DBSCAN [14] adapted to the
   * distributed setting (paper §7, "Comparison Methods").
@@ -30,30 +29,21 @@ object GDC {
   /** Per-cell brute force: all data-data pairs (each found once here, but
     * cross-cell pairs are found from both sides) and data-query pairs.
     */
-  def cellScan(objects: Iterator[GridObject], eps: Double): Iterator[NeighborPair] = {
-    val data    = new ArrayBuffer[GridObject]()
-    val queries = new ArrayBuffer[GridObject]()
-    objects.foreach(o => if (o.isQuery) queries += o else data += o)
-    if (data.isEmpty) return Iterator.empty
-
-    val time = data.head.time
-    val out = new ArrayBuffer[NeighborPair]()
-    var i = 0
-    while (i < data.length) {
-      var j = i + 1
-      while (j < data.length) {
-        if (RangeJoin.within(data(i), data(j), eps))
-          out += RangeJoin.canon(time, data(i).id, data(j).id)
-        j += 1
+  def cellScan(objects: Iterator[GridObject], eps: Double): Iterator[NeighborPair] =
+    RangeJoin.scanCell(objects) { (data, queries, emit) =>
+      var i = 0
+      while (i < data.length) {
+        var j = i + 1
+        while (j < data.length) {
+          if (RangeJoin.within(data(i), data(j), eps)) emit(data(i).id, data(j).id)
+          j += 1
+        }
+        queries.foreach { q =>
+          if (q.id != data(i).id && RangeJoin.within(q, data(i), eps)) emit(q.id, data(i).id)
+        }
+        i += 1
       }
-      queries.foreach { q =>
-        if (q.id != data(i).id && RangeJoin.within(q, data(i), eps))
-          out += RangeJoin.canon(time, q.id, data(i).id)
-      }
-      i += 1
     }
-    out.iterator
-  }
 
   def join(snapshots: Dataset[SnapshotRow], eps: Double): Dataset[NeighborPair] = {
     val spark = snapshots.sparkSession

@@ -3,7 +3,6 @@ package repro.cluster
 import org.apache.spark.sql.Dataset
 import repro.core.{GridObject, NeighborPair, RangeJoin, SnapshotRow}
 import repro.index.{Grid, RTree, Rect}
-import scala.collection.mutable.ArrayBuffer
 
 /** Clustering baseline **SRJ** — the streaming range join of Zhang et al.
   * [36] (Storm), extended with DBSCAN like RJC (paper §7, "Comparison
@@ -31,25 +30,17 @@ object SRJ {
     Iterator.single(data) ++ queries
   }
 
-  def gridQuery(objects: Iterator[GridObject], eps: Double): Iterator[NeighborPair] = {
-    val data    = new ArrayBuffer[GridObject]()
-    val queries = new ArrayBuffer[GridObject]()
-    objects.foreach(o => if (o.isQuery) queries += o else data += o)
-    if (data.isEmpty) return Iterator.empty
-
-    val time = data.head.time
-    val rt = new RTree() // payload: the data object's index in `data`
-    data.indices.foreach(i => rt.insert(i, data(i).x, data(i).y))
-
-    val out = new ArrayBuffer[NeighborPair]()
-    (data.iterator ++ queries.iterator).foreach { o =>
-      rt.query(Rect.range(o.x, o.y, eps + Grid.slack(o.x, o.y, eps))).foreach { j =>
-        val v = data(j.toInt)
-        if (v.id != o.id && RangeJoin.within(o, v, eps)) out += RangeJoin.canon(time, o.id, v.id)
+  def gridQuery(objects: Iterator[GridObject], eps: Double): Iterator[NeighborPair] =
+    RangeJoin.scanCell(objects) { (data, queries, emit) =>
+      val rt = new RTree() // payload: the data object's index in `data`
+      data.indices.foreach(i => rt.insert(i, data(i).x, data(i).y))
+      (data.iterator ++ queries.iterator).foreach { o =>
+        rt.query(Rect.range(o.x, o.y, eps + Grid.slack(o.x, o.y, eps))).foreach { j =>
+          val v = data(j.toInt)
+          if (v.id != o.id && RangeJoin.within(o, v, eps)) emit(o.id, v.id)
+        }
       }
     }
-    out.iterator
-  }
 
   /** Full join: duplicates survive until the final `distinct` — the cost the
     * paper's lemmas eliminate in RJC.

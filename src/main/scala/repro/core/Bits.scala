@@ -49,16 +49,6 @@ final class Bits private (private val words: Array[Long], val length: Int) {
     new Bits(out, length)
   }
 
-  /** Number of trailing zero *positions* at the high end, i.e.
-    * `length - 1 - (last set bit)`; `length` when the string is all zeros.
-    * Used by Lemma 7 (a sequence is finalized after G+1 trailing zeros).
-    */
-  def trailingZeros: Int = {
-    var i = length - 1
-    while (i >= 0 && !apply(i)) i -= 1
-    length - 1 - i
-  }
-
   override def equals(o: Any): Boolean = o match {
     case b: Bits => b.length == length && b.onesPositions == onesPositions
     case _       => false
@@ -68,12 +58,6 @@ final class Bits private (private val words: Array[Long], val length: Int) {
 }
 
 object Bits {
-
-  /** An all-zero string of `length` bits. */
-  def zeros(length: Int): Bits = {
-    require(length >= 0)
-    new Bits(new Array[Long]((length + 63) >> 6 max 1), length)
-  }
 
   /** Build from set-bit positions (0-based, each < length). */
   def fromPositions(length: Int, positions: Iterable[Int]): Bits = {
@@ -111,4 +95,10 @@ object Bits {
 final case class VarBits(id: Long, st: Int, et: Int, bits: Bits) {
   require(et - st + 1 == bits.length, s"span [$st,$et] vs ${bits.length} bits")
   def times: Seq[Int] = bits.times(st)
+
+  /** The string cut to the span [from, to] and anchored at `from`, so that
+    * it ANDs with any other string cut to the same span (Lemma 8).
+    */
+  def cut(from: Int, to: Int): Bits =
+    Bits.fromPositions(to - from + 1, times.filter(t => t >= from && t <= to).map(_ - from))
 }

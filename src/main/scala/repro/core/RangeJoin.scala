@@ -47,30 +47,40 @@ object RangeJoin {
     * `Grid.slack` and each hit is checked with the exact `|Δ| <= eps` test.
     * Pairs are emitted canonicalized (small id first).
     */
-  def gridQuery(objects: Iterator[GridObject], eps: Double): Iterator[NeighborPair] = {
+  def gridQuery(objects: Iterator[GridObject], eps: Double): Iterator[NeighborPair] =
+    scanCell(objects) { (data, queries, emit) =>
+      val rt = new RTree() // payload: the data object's index in `data`
+      data.indices.foreach { i =>
+        val o = data(i)
+        rt.query(Rect.range(o.x, o.y, eps + Grid.slack(o.x, o.y, eps))).foreach { j =>
+          val v = data(j.toInt)
+          if (v.id != o.id && within(o, v, eps)) emit(o.id, v.id)
+        }
+        rt.insert(i, o.x, o.y)
+      }
+      queries.foreach { q =>
+        rt.query(Rect.upperRange(q.x, q.y, eps + Grid.slack(q.x, q.y, eps))).foreach { j =>
+          val d = data(j.toInt)
+          if (d.id != q.id && (d.y > q.y || d.id > q.id) && within(q, d, eps)) emit(q.id, d.id)
+        }
+      }
+    }
+
+  /** One (time, cell) partition split into its data and query objects for
+    * `scan`, which reports each neighbour pair with `emit(a, b)`; the pairs
+    * come out canonicalized (smaller id first). A cell without data objects
+    * reports nothing. Shared by RJC and the SRJ/GDC baselines.
+    */
+  private[repro] def scanCell(objects: Iterator[GridObject])(
+      scan: (ArrayBuffer[GridObject], ArrayBuffer[GridObject], (Long, Long) => Unit) => Unit)
+      : Iterator[NeighborPair] = {
     val data    = new ArrayBuffer[GridObject]()
     val queries = new ArrayBuffer[GridObject]()
     objects.foreach(o => if (o.isQuery) queries += o else data += o)
     if (data.isEmpty) return Iterator.empty
-
-    val out  = new ArrayBuffer[NeighborPair]()
     val time = data.head.time
-    val rt   = new RTree() // payload: the data object's index in `data`
-    data.indices.foreach { i =>
-      val o = data(i)
-      rt.query(Rect.range(o.x, o.y, eps + Grid.slack(o.x, o.y, eps))).foreach { j =>
-        val v = data(j.toInt)
-        if (v.id != o.id && within(o, v, eps)) out += canon(time, o.id, v.id)
-      }
-      rt.insert(i, o.x, o.y)
-    }
-    queries.foreach { q =>
-      rt.query(Rect.upperRange(q.x, q.y, eps + Grid.slack(q.x, q.y, eps))).foreach { j =>
-        val d = data(j.toInt)
-        if (d.id != q.id && (d.y > q.y || d.id > q.id) && within(q, d, eps))
-          out += canon(time, q.id, d.id)
-      }
-    }
+    val out  = new ArrayBuffer[NeighborPair]()
+    scan(data, queries, (a, b) => out += NeighborPair(time, math.min(a, b), math.max(a, b)))
     out.iterator
   }
 
@@ -79,10 +89,6 @@ object RangeJoin {
     */
   private[repro] def within(a: GridObject, b: GridObject, eps: Double): Boolean =
     math.abs(a.x - b.x) <= eps && math.abs(a.y - b.y) <= eps
-
-  /** The pair with the smaller id first. */
-  private[repro] def canon(time: Int, a: Long, b: Long): NeighborPair =
-    if (a < b) NeighborPair(time, a, b) else NeighborPair(time, b, a)
 
   /** The full distributed join: allocate, shuffle by (time, cell), query per
     * cell (GridSync collects the per-cell results). Lemmas 1–2 with the

@@ -1,7 +1,7 @@
 package repro.enumeration
 
 import org.apache.spark.sql.Dataset
-import repro.core.{Constraints, PartitionRow, Pattern}
+import repro.core.{Bits, Constraints, PartitionRow}
 import scala.collection.immutable.TreeMap
 
 /** The three pattern-enumeration methods of §6 as selectable strategies. */
@@ -41,6 +41,23 @@ object Enumeration {
     partitions
       .groupByKey(_.anchor)
       .flatMapGroups((anchor, rows) => detectLocal(anchor, rows, c, method).iterator)
+  }
+
+  /** The apriori growth loop FBA and VBA share (§6.2–6.3): the combinations
+    * of `level0` whose AND-ed string contains a (K,L,G)-valid sequence, then
+    * each of those extended by every item with a larger id, level by level
+    * until none stays valid. Validity is anti-monotone under AND, so no valid
+    * superset is missed; ids grow along a combination, so each object set is
+    * grown once and holds no id twice. `items` are in ascending id order.
+    */
+  private[enumeration] def grow(level0: Seq[(Vector[Long], Bits)], items: Seq[(Long, Bits)],
+                                c: Constraints): Iterator[(Vector[Long], Bits)] = {
+    def valid(level: Seq[(Vector[Long], Bits)]) = level.filter { case (_, b) => Bits.containsValid(b, c) }
+    Iterator.iterate(valid(level0)) { level =>
+      valid(level.flatMap { case (ids, b) =>
+        items.collect { case (id, nb) if ids.isEmpty || id > ids.last => (ids :+ id, b.and(nb)) }
+      })
+    }.takeWhile(_.nonEmpty).flatten
   }
 
   /** Canonical de-duplicated result: one row per distinct object set, with

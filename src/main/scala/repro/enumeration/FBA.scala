@@ -1,6 +1,6 @@
 package repro.enumeration
 
-import repro.core.{Bits, Constraints, Pattern, TimeSeq}
+import repro.core.{Bits, Constraints, Pattern}
 import scala.collection.immutable.TreeMap
 import scala.collection.mutable.ArrayBuffer
 
@@ -33,22 +33,13 @@ object FBA {
 
       // Candidate-based apriori enumeration (Alg 4, lines 9-17).
       // A "pattern" here is the candidate subset O; the anchor o is implicit.
-      var level: Seq[(Vector[Long], Bits)] =
-        cands.combinations(c.m - 1).map { combo =>
-          (combo, Bits.andAll(combo.map(bits)))
-        }.toSeq
-      while (level.nonEmpty) {
-        val valid = level.filter { case (_, b) => Bits.containsValid(b, c) }
-        valid.foreach { case (objs, b) =>
-          // Emit only sequences starting at the window start — the same
-          // pattern re-appears in every later window otherwise.
-          // Available once the window's last partition t+eta-1 is processed.
-          TimeSeq.maximalValid(b.times(t), c).find(_.head == t).foreach { ts =>
-            out += Emitted(Pattern((anchor +: objs).sorted, ts), t + c.eta - 1)
-          }
-        }
-        level = valid.flatMap { case (objs, b) =>
-          cands.filter(_ > objs.last).map(nx => (objs :+ nx, b.and(bits(nx))))
+      val level0 = cands.combinations(c.m - 1).map(combo => (combo, Bits.andAll(combo.map(bits)))).toSeq
+      Enumeration.grow(level0, cands.map(oi => oi -> bits(oi)), c).foreach { case (objs, b) =>
+        // Emit only sequences starting at the window start — the same
+        // pattern re-appears in every later window otherwise.
+        // Available once the window's last partition t+eta-1 is processed.
+        Bits.maximalValid(b, t, c).find(_.head == t).foreach { ts =>
+          out += Emitted(Pattern((anchor +: objs).sorted, ts), t + c.eta - 1)
         }
       }
     }

@@ -13,7 +13,7 @@ final case class Emitted(pattern: Pattern, emitTime: Int)
   * length bit strings and the global candidate list C of Algorithm 5.
   */
 final class VbaState(val anchor: Long) {
-  /** H: trajectory id -> open entry (start time, bit buffer, trailing 0s). */
+  /** H: trajectory id -> open entry (its co-cluster times so far). */
   val open = mutable.LinkedHashMap.empty[Long, VbaState.OpenEntry]
   /** C: finalized maximal pattern time sequences (Lemma 7 components). */
   val cands = ArrayBuffer.empty[VarBits]
@@ -22,11 +22,11 @@ final class VbaState(val anchor: Long) {
 }
 
 object VbaState {
+  /** An open entry ⟨st, et, B⟩ stored as its set bits: the co-cluster times
+    * from the start `st` on.
+    */
   final class OpenEntry(val st: Int) {
-    val bits = ArrayBuffer.empty[Boolean]
-    var zeros = 0 // current trailing-zero run length
-    def append(b: Boolean): Unit = { bits += b; zeros = if (b) 0 else zeros + 1 }
-    def times: Seq[Int] = bits.iterator.zipWithIndex.collect { case (true, i) => st + i }.toVector
+    val times = ArrayBuffer(st)
   }
 }
 
@@ -72,18 +72,15 @@ object VBA {
     val completed = ArrayBuffer.empty[VarBits] // Cl, the local candidate list
     // Update open entries (Alg 5, lines 2-12).
     for ((oi, e) <- state.open.toVector) {
-      e.append(members.contains(oi))
-      if (e.zeros == c.g + 1) { // Lemma 7: the sequence can no longer extend
+      if (members.contains(oi)) e.times += t
+      else if (t - e.times.last == c.g + 1) { // Lemma 7: G+1 zeros, no extension
         state.open.remove(oi)
         completed ++= finalizeEntry(oi, e, c) // tag=1 components; tag=-1 drops
       }
     }
     // Open new entries for first-time co-occurrences (Alg 5, lines 13-14).
-    for (oi <- members.toVector.sorted if !state.open.contains(oi)) {
-      val e = new VbaState.OpenEntry(t)
-      e.append(true)
-      state.open(oi) = e
-    }
+    for (oi <- members.toVector.sorted if !state.open.contains(oi))
+      state.open(oi) = new VbaState.OpenEntry(t)
     // Enumerate patterns for each completed candidate (Alg 5, lines 15-20).
     // Each candidate is added to C before the next is processed so that two
     // sequences finalizing at the same snapshot can still pair up.
@@ -112,55 +109,31 @@ object VBA {
     * component (see TimeSeq.maximalValid).
     */
   private def finalizeEntry(oi: Long, e: VbaState.OpenEntry, c: Constraints): Seq[VarBits] =
-    TimeSeq.maximalValid(e.times, c).map { comp =>
+    TimeSeq.maximalValid(e.times.toVector, c).map { comp =>
       VarBits(oi, comp.head, comp.last,
         Bits.fromPositions(comp.last - comp.head + 1, comp.map(_ - comp.head)))
     }
 
   /** Candidate-based enumeration anchored on the just-finalized `cand`:
-    * level-wise growth as in FBA, over the Lemma 8-filtered candidate list.
+    * FBA's growth loop over the Lemma 8-filtered candidate list. Every
+    * combination contains `cand`, so each candidate's string is cut once to
+    * cand's span [st, et] and AND-ed there.
     */
   private def enumerate(state: VbaState, cand: VarBits, emitTime: Int, c: Constraints,
                         out: ArrayBuffer[Emitted]): Unit = {
     // Lemma 8 (span form): a combination whose common span holds fewer than
     // K snapshots cannot satisfy the duration constraint.
-    val filtered = state.cands.iterator
-      .filter(_.id != cand.id)
-      .filter(o => math.min(o.et, cand.et) - math.max(o.st, cand.st) + 1 >= c.k)
+    val items = state.cands.iterator
+      .filter(o => o.id != cand.id && math.min(o.et, cand.et) - math.max(o.st, cand.st) + 1 >= c.k)
       .toVector
       .sortBy(v => (v.id, v.st))
-
-    val candTimes = cand.times.toSet
-
-    // Items must have strictly increasing ids along a combination so each
-    // object set is enumerated once and contains no duplicate ids.
-    def extendables(lastId: Long) = filtered.filter(_.id > lastId)
-
-    // Base level: combinations of size M-2 joined with `cand` (object-set
-    // size M-1; the subtask anchor is the implicit M-th member).
-    def combosOf(size: Int): Iterator[Vector[VarBits]] =
-      if (size == 0) Iterator.single(Vector.empty)
-      else filtered.combinations(size).filter(v => strictIds(v))
-    def strictIds(v: Vector[VarBits]): Boolean =
-      v.lazyZip(v.drop(1)).forall { case (a, b) => a.id < b.id }
-
-    var level: Seq[(Vector[VarBits], Set[Int])] = combosOf(c.m - 2).map { combo =>
-      (combo, combo.foldLeft(candTimes)((acc, v) => acc intersect v.times.toSet))
-    }.toSeq
-
-    while (level.nonEmpty) {
-      val valid = level.filter { case (_, ts) =>
-        TimeSeq.containsValid(ts.toVector.sorted, c)
-      }
-      valid.foreach { case (combo, ts) =>
-        val objs = (state.anchor +: cand.id +: combo.map(_.id)).sorted
-        TimeSeq.maximalValid(ts.toVector.sorted, c).foreach { seq =>
-          out += Emitted(Pattern(objs, seq), emitTime)
-        }
-      }
-      level = valid.flatMap { case (combo, ts) =>
-        val lastId = if (combo.isEmpty) Long.MinValue else combo.last.id
-        extendables(lastId).map(nx => (combo :+ nx, ts intersect nx.times.toSet))
+      .map(o => o.id -> o.cut(cand.st, cand.et))
+    // Growth starts from `cand` alone; the object set adds `cand` and the
+    // subtask anchor, so a combination emits from M-2 items on.
+    Enumeration.grow(Seq(Vector.empty[Long] -> cand.bits), items, c).foreach { case (ids, b) =>
+      if (ids.length >= c.m - 2) {
+        val objs = (state.anchor +: cand.id +: ids).sorted
+        Bits.maximalValid(b, cand.st, c).foreach(seq => out += Emitted(Pattern(objs, seq), emitTime))
       }
     }
   }

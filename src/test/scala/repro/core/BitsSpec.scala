@@ -9,11 +9,6 @@ import repro.PropSupport
   */
 class BitsSpec extends AnyFunSuite with PropSupport {
 
-  test("zeros string has no set bits") {
-    val b = Bits.zeros(70)
-    assert(b.length == 70 && b.cardinality == 0 && b.onesPositions.isEmpty)
-  }
-
   test("parse/toString round trip") {
     val s = "110111"
     assert(Bits.parse(s).toString == s)
@@ -57,12 +52,6 @@ class BitsSpec extends AnyFunSuite with PropSupport {
 
   test("andAll over singleton") {
     assert(Bits.andAll(Seq(Bits.parse("0110"))).toString == "0110")
-  }
-
-  test("trailingZeros") {
-    assert(Bits.parse("110100").trailingZeros == 2)
-    assert(Bits.parse("1101").trailingZeros == 0)
-    assert(Bits.parse("0000").trailingZeros == 4)
   }
 
   test("equality is by length and positions") {
@@ -121,13 +110,5 @@ class BitsSpec extends AnyFunSuite with PropSupport {
 
   test("property: cardinality equals onesPositions size") {
     forAllG(bitsGen) { b => assert(b.cardinality == b.onesPositions.length) }
-  }
-
-  test("property: trailingZeros consistent with last set bit") {
-    forAllG(bitsGen) { b =>
-      val expected = b.onesPositions.lastOption
-        .map(last => b.length - 1 - last).getOrElse(b.length)
-      assert(b.trailingZeros == expected)
-    }
   }
 }

@@ -7,7 +7,8 @@ import repro.core._
 import scala.util.Random
 
 /** Randomized equivalence: BA, FBA and VBA must all find exactly the pattern
-  * object sets of the exhaustive reference, on arbitrary cluster streams.
+  * object sets of the exhaustive reference, on arbitrary cluster streams;
+  * VBA, which emits each maximal sequence once, its full patterns too.
   */
 class DetectorEquivalenceSpec extends AnyFunSuite with PropSupport {
 
@@ -40,15 +41,23 @@ class DetectorEquivalenceSpec extends AnyFunSuite with PropSupport {
     }
   }
 
-  private def detectAll(clusters: Seq[ClusterRow], c: Constraints,
-                        method: EnumMethod): Set[Seq[Long]] = {
+  private def emitted(clusters: Seq[ClusterRow], c: Constraints,
+                      method: EnumMethod): Seq[Pattern] = {
     val parts = clusters.flatMap(IdPartitioner.partitionsLocal(_, c.m))
     val anchors = parts.map(_.anchor).distinct
-    Reference.distinctObjectSets(anchors.flatMap { a =>
+    anchors.flatMap { a =>
       Enumeration.detectLocal(a, parts.filter(_.anchor == a).iterator, c, method)
         .map(_.pattern)
-    })
+    }
   }
+
+  private def detectAll(clusters: Seq[ClusterRow], c: Constraints,
+                        method: EnumMethod): Set[Seq[Long]] =
+    Reference.distinctObjectSets(emitted(clusters, c, method))
+
+  /** Patterns in a canonical order, so that two lists compare row for row. */
+  private def sortedRows(ps: Seq[Pattern]): Seq[Pattern] =
+    ps.sortBy(p => (p.objects.mkString(","), p.times.mkString(",")))
 
   private val caseGen: Gen[(Long, Int, Int, Constraints, Double)] = for {
     seed <- Gen.choose(0L, 100000L)
@@ -75,6 +84,13 @@ class DetectorEquivalenceSpec extends AnyFunSuite with PropSupport {
       val cl = randomClusters(seed, nObj, nTimes, sticky)
       assert(detectAll(cl, c, VbaMethod) ==
         Reference.distinctObjectSets(Reference.patterns(cl, c)))
+    }
+  }
+
+  test("property: VBA emits the reference's patterns row for row, witness sequences included") {
+    forAllG(caseGen, n = 60, seed0 = 0xCAFE) { case (seed, nObj, nTimes, c, sticky) =>
+      val cl = randomClusters(seed, nObj, nTimes, sticky)
+      assert(sortedRows(emitted(cl, c, VbaMethod)) == sortedRows(Reference.patterns(cl, c)))
     }
   }
 
