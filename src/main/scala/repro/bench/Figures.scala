@@ -126,8 +126,7 @@ object Figures {
     for ((name, world, data) <- detectionDatasets(spark); or <- Params.ors) {
       val rows = subsample(data, or)
       val p = Params.clusterParams(world)
-      val (clusters, clusterMs, n) = Runner.clusteringMedian(spark, rows, p, RjcJoin,
-        reps = Runner.repsEnum)
+      val (clusters, clusterMs, n) = Runner.clusteringMedian(spark, rows, p, RjcJoin)
       val avgSize = if (clusters.isEmpty) 0.0
                     else clusters.map(_.members.length).sum.toDouble / clusters.length
       val maxPart = clusters.map(_.members.length).maxOption.getOrElse(0) - 1
@@ -163,8 +162,7 @@ object Figures {
       val p = Params.clusterParams(world, epsPct)
       // Cluster once per sweep point (identical for F and V), then measure
       // each enumeration method on the shared cluster stream.
-      val (clusters, clusterMs, n) = Runner.clusteringMedian(spark, data, p, RjcJoin,
-        slots, reps = Runner.repsEnum)
+      val (clusters, clusterMs, n) = Runner.clusteringMedian(spark, data, p, RjcJoin, slots)
       for (m <- Seq[EnumMethod](FbaMethod, VbaMethod)) {
         val (emitted, enumMs) = Runner.enumerationMedian(spark, clusters, c, m, slots)
         val metrics = Runner.metricsOf(clusterMs, enumMs, n, clusters, emitted, c)
@@ -193,8 +191,7 @@ object Figures {
     val out = mutable.ArrayBuffer.empty[Seq[String]]
     for ((name, world, data) <- dense; n <- Params.nodes) {
       val p = Params.clusterParams(world)
-      val (clusters, clusterMs, nSnap) = Runner.clusteringMedian(spark, data, p, RjcJoin,
-        Some(n), reps = Runner.repsEnum)
+      val (clusters, clusterMs, nSnap) = Runner.clusteringMedian(spark, data, p, RjcJoin, Some(n))
       for (m <- Seq[EnumMethod](FbaMethod, VbaMethod)) {
         val (emitted, enumMs) = Runner.enumerationMedian(spark, clusters, c, m, Some(n))
         val metrics = Runner.metricsOf(clusterMs, enumMs, nSnap, clusters, emitted, c)

@@ -52,13 +52,12 @@ object Runner {
   /** Snapshots per micro-batch: Structured-Streaming-style processing that
     * amortizes per-job overhead the same way for every compared method.
     */
-  val batchSnapshots: Int = sys.env.get("BENCH_BATCH").map(_.toInt).getOrElse(50)
+  val batchSnapshots: Int = 50
 
   /** Repetitions per measured point (median wall time is reported) — the
     * algorithms are deterministic, so only the timing varies.
     */
-  val repsCluster: Int = sys.env.get("BENCH_REPS").map(_.toInt).getOrElse(2)
-  val repsEnum: Int = sys.env.get("BENCH_REPS_ENUM").map(_.toInt).getOrElse(2)
+  val reps: Int = 2
 
   def nowMs(): Double = System.nanoTime() / 1e6
 
@@ -120,9 +119,7 @@ object Runner {
       val t0 = nowMs()
       var ds = spark.createDataset(clusters.toIndexedSeq)
       slots.foreach(n => ds = ds.repartition(n))
-      val emitted = Enumeration
-        .detect(IdPartitioner.partitions(ds, c.m), c, method)
-        .collect().toSeq
+      val emitted = ICPE.detectPatterns(ds, c, method).collect().toSeq
       val wall = nowMs() - t0
       (emitted, wall)
     } finally spark.conf.set("spark.sql.shuffle.partitions", prevShuffle)
@@ -153,7 +150,7 @@ object Runner {
 
   /** Median-of-reps variants for measured points. */
   def clusteringMedian(spark: SparkSession, rows: Array[SnapshotRow], p: ClusterParams,
-                       method: JoinMethod, slots: Option[Int] = None, reps: Int = repsCluster)
+                       method: JoinMethod, slots: Option[Int] = None)
       : (Seq[ClusterRow], Double, Int) = {
     val ((clusters, n), wall) = median(reps) {
       val (cl, w, nn) = runClustering(spark, rows, p, method, slots)
@@ -163,7 +160,7 @@ object Runner {
   }
 
   def enumerationMedian(spark: SparkSession, clusters: Seq[ClusterRow], c: Constraints,
-                        method: EnumMethod, slots: Option[Int] = None, reps: Int = repsEnum)
+                        method: EnumMethod, slots: Option[Int] = None)
       : (Seq[Emitted], Double) =
     median(reps)(runEnumeration(spark, clusters, c, method, slots))
 

@@ -45,13 +45,6 @@ object GDC {
       }
     }
 
-  def join(snapshots: Dataset[SnapshotRow], eps: Double): Dataset[NeighborPair] = {
-    val spark = snapshots.sparkSession
-    import spark.implicits._
-    snapshots
-      .flatMap(allocate(_, eps))
-      .groupByKey(o => (o.time, o.cellKey))
-      .flatMapGroups((_, it) => cellScan(it, eps))
-      .distinct()
-  }
+  def join(snapshots: Dataset[SnapshotRow], eps: Double): Dataset[NeighborPair] =
+    RangeJoin.byCell(snapshots)(allocate(_, eps))(cellScan(_, eps)).distinct()
 }

@@ -45,13 +45,6 @@ object SRJ {
   /** Full join: duplicates survive until the final `distinct` — the cost the
     * paper's lemmas eliminate in RJC.
     */
-  def join(snapshots: Dataset[SnapshotRow], eps: Double, lg: Double): Dataset[NeighborPair] = {
-    val spark = snapshots.sparkSession
-    import spark.implicits._
-    snapshots
-      .flatMap(allocate(_, eps, lg))
-      .groupByKey(o => (o.time, o.cellKey))
-      .flatMapGroups((_, it) => gridQuery(it, eps))
-      .distinct()
-  }
+  def join(snapshots: Dataset[SnapshotRow], eps: Double, lg: Double): Dataset[NeighborPair] =
+    RangeJoin.byCell(snapshots)(allocate(_, eps, lg))(gridQuery(_, eps)).distinct()
 }

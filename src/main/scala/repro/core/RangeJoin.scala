@@ -1,6 +1,6 @@
 package repro.core
 
-import org.apache.spark.sql.{Dataset, SparkSession}
+import org.apache.spark.sql.Dataset
 import repro.index.{Grid, RTree, Rect}
 import scala.collection.mutable.ArrayBuffer
 
@@ -95,12 +95,21 @@ object RangeJoin {
     * y/id tie-break of `gridQuery` report every pair exactly once, so no
     * de-duplication pass is needed.
     */
-  def rjc(snapshots: Dataset[SnapshotRow], eps: Double, lg: Double): Dataset[NeighborPair] = {
+  def rjc(snapshots: Dataset[SnapshotRow], eps: Double, lg: Double): Dataset[NeighborPair] =
+    byCell(snapshots)(gridAllocate(_, eps, lg))(gridQuery(_, eps))
+
+  /** The (time, cell) dataflow shared by RJC and the SRJ/GDC baselines:
+    * `allocate` replicates each location to grid cells, the objects are
+    * shuffled by (time, cell), and `scan` reports each cell's pairs.
+    */
+  private[repro] def byCell(snapshots: Dataset[SnapshotRow])(
+      allocate: SnapshotRow => Iterator[GridObject])(
+      scan: Iterator[GridObject] => Iterator[NeighborPair]): Dataset[NeighborPair] = {
     val spark = snapshots.sparkSession
     import spark.implicits._
     snapshots
-      .flatMap(gridAllocate(_, eps, lg))
+      .flatMap(allocate)
       .groupByKey(o => (o.time, o.cellKey))
-      .flatMapGroups((_, it) => gridQuery(it, eps))
+      .flatMapGroups((_, it) => scan(it))
   }
 }

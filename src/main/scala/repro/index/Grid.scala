@@ -19,7 +19,6 @@ object Grid {
   def cell(v: Double, lg: Double): Int = math.floor(v / lg).toInt
 
   def pack(cx: Int, cy: Int): Long = (cx.toLong << 32) | (cy.toLong & 0xffffffffL)
-  def unpack(key: Long): (Int, Int) = ((key >> 32).toInt, key.toInt)
 
   /** Rounding slack for the bounds of the range region around (x, y):
     * `x ± eps` is rounded, and so is the `|Δx| <= eps` test that defines a

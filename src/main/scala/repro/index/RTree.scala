@@ -80,10 +80,6 @@ final class RTree(maxEntries: Int = 16) {
     out.toSeq
   }
 
-  /** Convenience: full square range query RQ((x,y), eps). */
-  def rangeQuery(x: Double, y: Double, eps: Double): Seq[Long] =
-    query(Rect.range(x, y, eps))
-
   private def queryNode(n: Node, r: Rect, out: ArrayBuffer[Long]): Unit = n match {
     case l: Leaf =>
       var i = 0

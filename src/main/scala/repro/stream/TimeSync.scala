@@ -45,9 +45,6 @@ final class TimeSync(expected: Set[Long] = Set.empty) {
   private var nonFinite, badLastTime, stale, duplicate, unresolved = 0L
   private var pendingCount, bufferedCount = 0L
 
-  /** Trajectory ids seen so far (plus the pre-registered expected ones). */
-  def knownTrajectories: Set[Long] = frontier.keySet.toSet ++ expected
-
   /** Records dropped so far, by reason. */
   def dropped: TimeSync.Drops = TimeSync.Drops(nonFinite, badLastTime, stale, duplicate, unresolved)
 

@@ -67,6 +67,28 @@ object TestData {
     }
   }
 
+  /** The golden geometry followed by G+1 snapshots with every object alone,
+    * which finalize the open VBA entries while a stream runs, not only at
+    * its end.
+    */
+  def goldenStreamRows(eps: Double, c: Constraints): Seq[SnapshotRow] =
+    goldenGeometry(eps) ++ (for (t <- 9 to 9 + c.g; id <- 1L to 8L)
+      yield SnapshotRow(t, id, 100.0 * eps * id, -500.0 * eps))
+
+  /** One batch of GPS records per snapshot of `rows`, in id order, each
+    * annotated with its trajectory's previous report time.
+    */
+  def gpsBatches(rows: Seq[SnapshotRow]): Seq[Seq[Gps]] = {
+    val lastSeen = scala.collection.mutable.HashMap.empty[Long, Int]
+    rows.groupBy(_.time).toSeq.sortBy(_._1).map { case (t, rs) =>
+      rs.sortBy(_.id).map { r =>
+        val last = lastSeen.getOrElse(r.id, -1)
+        lastSeen(r.id) = t
+        Gps(r.id, t, r.x, r.y, last)
+      }
+    }
+  }
+
   /** Expected distinct pattern object sets on the golden stream (derived by
     * exhaustive hand analysis; cross-checked by Reference in the tests).
     */

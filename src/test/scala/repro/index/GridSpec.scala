@@ -20,10 +20,12 @@ class GridSpec extends AnyFunSuite with PropSupport {
     assert(Grid.cell(0.0, 1.0) == 0)
   }
 
-  test("pack/unpack round trip incl. negatives") {
-    for ((x, y) <- Seq((0, 0), (5, -7), (-3, -4), (1 << 20, -(1 << 20)))) {
-      assert(Grid.unpack(Grid.pack(x, y)) == ((x, y)))
-    }
+  test("pack keeps distinct cells distinct, negative cells included") {
+    val cells = for (x <- -3 to 3; y <- -3 to 3) yield (x, y)
+    val extremes = Seq((1 << 20, -(1 << 20)), (-(1 << 20), 1 << 20), (Int.MinValue, Int.MaxValue))
+    val all = cells ++ extremes
+    assert(all.map { case (x, y) => Grid.pack(x, y) }.distinct.length == all.length)
+    all.foreach { case (x, y) => assert(cellOf(Grid.pack(x, y)) == ((x, y))) }
   }
 
   test("lemma1QueryKeys excludes the home cell") {
@@ -33,7 +35,7 @@ class GridSpec extends AnyFunSuite with PropSupport {
 
   test("lemma1QueryKeys covers only the upper half in y") {
     // eps < distance to cell floor: nothing below the home row is probed.
-    val keys = Grid.lemma1QueryKeys(15.0, 15.0, 10.0, 3.0).map(Grid.unpack)
+    val keys = Grid.lemma1QueryKeys(15.0, 15.0, 10.0, 3.0).map(cellOf)
     assert(keys.forall(_._2 >= 1))
   }
 
@@ -86,6 +88,9 @@ class GridSpec extends AnyFunSuite with PropSupport {
       }
     }
   }
+
+  /** The (x, y) cell indices a packed key encodes. */
+  private def cellOf(key: Long): (Int, Int) = ((key >> 32).toInt, key.toInt)
 
   private def pointGen: Gen[(Double, Double, Double, Double)] = for {
     x <- Gen.choose(-50.0, 50.0); y <- Gen.choose(-50.0, 50.0)

@@ -14,14 +14,14 @@ class RTreeSpec extends AnyFunSuite with PropSupport {
   test("empty tree answers empty") {
     val rt = new RTree()
     assert(rt.size == 0)
-    assert(rt.rangeQuery(0, 0, 100) == Nil)
+    assert(rt.query(Rect.range(0, 0, 100)) == Nil)
   }
 
   test("single point hit and miss") {
     val rt = new RTree()
     rt.insert(7L, 1.0, 2.0)
-    assert(rt.rangeQuery(1.5, 2.5, 1.0).toSet == Set(7L))
-    assert(rt.rangeQuery(5.0, 5.0, 1.0).isEmpty)
+    assert(rt.query(Rect.range(1.5, 2.5, 1.0)).toSet == Set(7L))
+    assert(rt.query(Rect.range(5.0, 5.0, 1.0)).isEmpty)
   }
 
   test("query region boundaries are closed") {
@@ -34,7 +34,7 @@ class RTreeSpec extends AnyFunSuite with PropSupport {
   test("duplicate coordinates with different ids are all kept") {
     val rt = new RTree(maxEntries = 4)
     (1L to 20L).foreach(i => rt.insert(i, 3.0, 3.0))
-    assert(rt.rangeQuery(3.0, 3.0, 0.0).toSet == (1L to 20L).toSet)
+    assert(rt.query(Rect.range(3.0, 3.0, 0.0)).toSet == (1L to 20L).toSet)
   }
 
   test("splits preserve all entries (sequential grid insert)") {
@@ -70,7 +70,7 @@ class RTreeSpec extends AnyFunSuite with PropSupport {
       val expected = pts.filter { case (_, x, y) =>
         math.abs(x - qx) <= eps && math.abs(y - qy) <= eps
       }.map(_._1).toSet
-      assert(rt.rangeQuery(qx, qy, eps).toSet == expected)
+      assert(rt.query(Rect.range(qx, qy, eps)).toSet == expected)
     }
   }
 
@@ -83,7 +83,7 @@ class RTreeSpec extends AnyFunSuite with PropSupport {
       var pairCountTree = 0
       var pairCountBrute = 0
       pts.zipWithIndex.foreach { case ((x, y), i) =>
-        pairCountTree += rt.rangeQuery(x, y, eps).length
+        pairCountTree += rt.query(Rect.range(x, y, eps)).length
         pairCountBrute += inserted.count { case (_, px, py) =>
           math.abs(px - x) <= eps && math.abs(py - y) <= eps
         }

@@ -62,7 +62,6 @@ class TimeSyncSpec extends AnyFunSuite {
     sync.add(gps(1, 0, -1))
     sync.add(gps(1, 1, 0))
     sync.add(gps(2, 1, 0)) // trajectory 2's own record 0 still missing
-    assert(sync.knownTrajectories == Set(1L, 2L))
     val out = sync.add(gps(2, 0, -1))
     assert(out.map(_._1) == Seq(0, 1))
     assert(out.map(_._2.size) == Seq(2, 2))
@@ -157,6 +156,20 @@ class TimeSyncSpec extends AnyFunSuite {
     assert(sync.close().isEmpty)
     assert(sync.dropped == TimeSync.Drops(unresolved = 1))
     assert(sync.heldRecords == 0)
+  }
+
+  test("a record lost or sent only non-finite stalls every later snapshot until close()") {
+    val sync = new TimeSync(expected = Set(1L, 2L))
+    sync.add(gps(1, 0, -1)); sync.add(gps(2, 0, -1)) // snapshot 0 out
+    sync.add(Gps(2, 1, Double.NaN, 2.0, 0))           // trajectory 2's only report at 1
+    val stalled = (1 to 5).flatMap { t =>
+      sync.add(gps(1, t, t - 1)) ++ (if (t >= 2) sync.add(gps(2, t, t - 1)) else Nil)
+    }
+    assert(stalled.isEmpty) // trajectory 2's report at 2 waits for the one at 1
+    val out = sync.close()
+    assert(out.map(_._1) == (1 to 5))
+    assert(out.forall(_._2.map(_.id) == Seq(1L)))
+    assert(sync.dropped == TimeSync.Drops(nonFinite = 1, unresolved = 4))
   }
 
   test("held records stay bounded on a long stream with faulty records") {
