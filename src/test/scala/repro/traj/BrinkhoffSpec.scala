@@ -1,6 +1,7 @@
 package repro.traj
 
 import repro.SparkSpec
+import repro.bench.Params
 
 /** Network-based generator sanity: determinism, on-network positions,
   * speed bounds, planted groups.
@@ -68,5 +69,17 @@ class BrinkhoffSpec extends SparkSpec {
     val total = sizes.sum
     assert((0L until total).forall(id => Brinkhoff.groupOf(cfg, id).isDefined))
     assert(Brinkhoff.groupOf(cfg, total).isEmpty)
+  }
+
+  test("the benchmark's lattice streams are pinned record for record") {
+    // Full-size copies, so the digests do not depend on BENCH_SCALE.
+    val pinned = Seq(
+      ("brinkhoff", Params.brinkhoff.copy(nObjects = 2000, nSnapshots = 100), 195925,
+        "5dbc96a0ae671a619335ee05de01c552e184ae43154b663d1dd663e1d4c699d2"),
+      ("fig14Brinkhoff", Params.fig14Brinkhoff.copy(nObjects = 6000, nSnapshots = 30), 176365,
+        "2fb73c55ac06fbcfb3592f40eb8bc1221de77172b861ddeb63dcc4bb901a335e"))
+    val got = pinned.map { case (name, cfg, _, _) =>
+      (name, StreamDigest.of(cfg.nObjects)(Brinkhoff.genObject(cfg, _))) }
+    assert(got == pinned.map { case (name, _, count, sha) => (name, (count, sha)) })
   }
 }

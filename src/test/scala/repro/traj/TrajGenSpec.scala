@@ -1,6 +1,7 @@
 package repro.traj
 
 import repro.SparkSpec
+import repro.bench.Params
 import repro.core.{ClusterParams, Constraints, Reference, ICPE}
 
 /** Generator sanity: determinism, bounds, planted structure that actually
@@ -78,5 +79,19 @@ class TrajGenSpec extends SparkSpec {
   test("episodes produce both on and off stretches") {
     val ep = TrajGen.episodes(new scala.util.Random(1), 500, 30, 4)
     assert(ep.count(identity) > 250 && ep.count(!_) > 10)
+  }
+
+  test("the benchmark's free-space streams are pinned record for record") {
+    // Full-size copies, so the digests do not depend on BENCH_SCALE.
+    val pinned = Seq(
+      ("geolife", Params.geolife.copy(nObjects = 2000, nSnapshots = 100), 194022,
+        "2ceb3c6e88b4c07326104ea13c3187901d118acf0e89a0055c100d478b3dee63"),
+      ("taxi", Params.taxi.copy(nObjects = 2400, nSnapshots = 100), 225604,
+        "ad16f0f2fe146d5a811a88cf3cfe43efa1d02cfef05593b8747b24843eda8188"),
+      ("fig14Taxi", Params.fig14Taxi.copy(nObjects = 5000, nSnapshots = 30), 141276,
+        "1a696d423d5c5778d7e3bb2199b01b09d1ffed6aac8664ebf5f3089801a3c2e7"))
+    val got = pinned.map { case (name, cfg, _, _) =>
+      (name, StreamDigest.of(cfg.nObjects)(TrajGen.genObject(cfg, _))) }
+    assert(got == pinned.map { case (name, _, count, sha) => (name, (count, sha)) })
   }
 }
