@@ -5,7 +5,7 @@ import repro.bench.Params
 import repro.core.{ClusterParams, Gps, SnapshotRow}
 import repro.enumeration.Enumeration
 import repro.stream.StreamingICPE
-import repro.traj.TrajGen
+import repro.traj.StreamGen
 
 /** End-to-end Structured Streaming demo: a generated trajectory stream is
   * fed snapshot-by-snapshot through a MemoryStream into the streaming ICPE
@@ -18,7 +18,7 @@ object StreamingDemoJob {
     import spark.implicits._
     try {
       val cfg = Params.geolife.copy(nObjects = 200, nSnapshots = 80)
-      val rows = TrajGen.generate(spark, cfg).collect().sortBy(r => (r.time, r.id))
+      val rows = StreamGen.generate(spark, cfg).collect().sortBy(r => (r.time, r.id))
       val icpe = new StreamingICPE(spark,
         Params.clusterParams(cfg.world), Params.defaultConstraints)
 

@@ -1,9 +1,9 @@
 package repro.bench
 
-import org.apache.spark.sql.{Dataset, SparkSession}
+import org.apache.spark.sql.SparkSession
 import repro.core._
 import repro.enumeration._
-import repro.traj.{Brinkhoff, BrinkhoffConfig, TrajConfig, TrajGen}
+import repro.traj.{StreamConfig, StreamGen}
 import scala.collection.mutable
 
 /** One reproduction routine per evaluation exhibit of the paper (§7).
@@ -13,15 +13,10 @@ import scala.collection.mutable
 object Figures {
 
   /** Generated streams are cached per config so figures can share them. */
-  private val cache = mutable.HashMap.empty[String, Array[SnapshotRow]]
+  private val cache = mutable.HashMap.empty[StreamConfig, Array[SnapshotRow]]
 
-  def stream(spark: SparkSession, cfg: TrajConfig): Array[SnapshotRow] =
-    cache.getOrElseUpdate(s"traj-${cfg.hashCode}",
-      Runner.collectStream(TrajGen.generate(spark, cfg)))
-
-  def stream(spark: SparkSession, cfg: BrinkhoffConfig): Array[SnapshotRow] =
-    cache.getOrElseUpdate(s"brink-${cfg.hashCode}",
-      Runner.collectStream(Brinkhoff.generate(spark, cfg)))
+  def stream(spark: SparkSession, cfg: StreamConfig): Array[SnapshotRow] =
+    cache.getOrElseUpdate(cfg, Runner.collectStream(StreamGen.generate(spark, cfg)))
 
   private def subsample(rows: Array[SnapshotRow], or: Double): Array[SnapshotRow] =
     if (or >= 1.0) rows else rows.filter(_.id % 10 < math.round(or * 10))
@@ -127,21 +122,22 @@ object Figures {
       val rows = subsample(data, or)
       val p = Params.clusterParams(world)
       val (clusters, clusterMs, n) = Runner.clusteringMedian(spark, rows, p, RjcJoin)
-      val avgSize = if (clusters.isEmpty) 0.0
-                    else clusters.map(_.members.length).sum.toDouble / clusters.length
+      val avgSize = Runner.f1(Runner.avgClusterSize(clusters))
       val maxPart = clusters.map(_.members.length).maxOption.getOrElse(0) - 1
       for (m <- Seq[EnumMethod](BaselineMethod, FbaMethod, VbaMethod)) {
         // The paper's B cannot run once 2^|P_t(o)| explodes (Fig 12 shows B
-        // only for Or <= 60%); emulate with the same blow-up guard.
+        // only for Or <= 60%). B is skipped here once some partition could
+        // hold more than 14 objects (largest cluster minus its anchor),
+        // below the 22 objects at which BA.detect itself gives up.
         if (m == BaselineMethod && maxPart > 14) {
           out += Seq("fig12", name, s"Or=${(or * 100).toInt}%", m.name,
-            "n/a (2^n blow-up)", "n/a", Runner.f1(avgSize), "-")
+            "n/a (2^n blow-up)", "n/a", avgSize, "-")
         } else {
           val (emitted, enumMs) = Runner.enumerationMedian(spark, clusters, c, m)
-          val metrics = Runner.metricsOf(clusterMs, enumMs, n, clusters, emitted, c)
+          val metrics = Runner.metricsOf(clusterMs, enumMs, n, emitted, c)
           out += Seq("fig12", name, s"Or=${(or * 100).toInt}%", m.name,
             Runner.f2(metrics.latencyMs), Runner.f1(metrics.throughputTps),
-            Runner.f1(avgSize), metrics.nPatterns.toString)
+            avgSize, metrics.nPatterns.toString)
         }
       }
     }
@@ -153,58 +149,43 @@ object Figures {
 
   // ----- Fig 13/14: detection vs eps / node count N (F, V) -----
 
-  private def detectionSweep(spark: SparkSession, figure: String, paramName: String,
+  /** Rows are labelled `figure` and written to the table `table`. */
+  private def detectionSweep(spark: SparkSession, table: String, figure: String,
+                             paramName: String,
+                             datasets: => Seq[(String, Double, Array[SnapshotRow])],
                              sweep: Seq[(String, Double, Option[Int])]): Seq[Seq[String]] = {
     warmup(spark)
     val c = Params.defaultConstraints
     val out = mutable.ArrayBuffer.empty[Seq[String]]
-    for ((name, world, data) <- detectionDatasets(spark); (label, epsPct, slots) <- sweep) {
+    for ((name, world, data) <- datasets; (label, epsPct, slots) <- sweep) {
       val p = Params.clusterParams(world, epsPct)
       // Cluster once per sweep point (identical for F and V), then measure
       // each enumeration method on the shared cluster stream.
       val (clusters, clusterMs, n) = Runner.clusteringMedian(spark, data, p, RjcJoin, slots)
       for (m <- Seq[EnumMethod](FbaMethod, VbaMethod)) {
         val (emitted, enumMs) = Runner.enumerationMedian(spark, clusters, c, m, slots)
-        val metrics = Runner.metricsOf(clusterMs, enumMs, n, clusters, emitted, c)
+        val metrics = Runner.metricsOf(clusterMs, enumMs, n, emitted, c)
         out += Seq(figure, name, label, m.name,
           Runner.f2(metrics.latencyMs), Runner.f1(metrics.throughputTps),
           metrics.nPatterns.toString)
       }
     }
-    Runner.emitTable(figure,
+    Runner.emitTable(table,
       Seq("figure", "dataset", paramName, "method", "latency_ms", "throughput_tps",
           "patterns"), out.toSeq)
     out.toSeq
   }
 
   def fig13(spark: SparkSession): Seq[Seq[String]] =
-    detectionSweep(spark, "fig13_detection_vs_eps", "eps",
-      Params.epsPcts.map(e => (s"eps=${Params.pct(e)}", e, None)))
+    detectionSweep(spark, "fig13_detection_vs_eps", "fig13_detection_vs_eps", "eps",
+      detectionDatasets(spark), Params.epsPcts.map(e => (s"eps=${Params.pct(e)}", e, None)))
 
-  def fig14(spark: SparkSession): Seq[Seq[String]] = {
-    warmup(spark)
-    val c = Params.defaultConstraints
-    val dense: Seq[(String, Double, Array[SnapshotRow])] = Seq(
-      ("taxi", Params.fig14Taxi.world, stream(spark, Params.fig14Taxi)),
-      ("brinkhoff", Params.fig14Brinkhoff.world, stream(spark, Params.fig14Brinkhoff)),
-    )
-    val out = mutable.ArrayBuffer.empty[Seq[String]]
-    for ((name, world, data) <- dense; n <- Params.nodes) {
-      val p = Params.clusterParams(world)
-      val (clusters, clusterMs, nSnap) = Runner.clusteringMedian(spark, data, p, RjcJoin, Some(n))
-      for (m <- Seq[EnumMethod](FbaMethod, VbaMethod)) {
-        val (emitted, enumMs) = Runner.enumerationMedian(spark, clusters, c, m, Some(n))
-        val metrics = Runner.metricsOf(clusterMs, enumMs, nSnap, clusters, emitted, c)
-        out += Seq("fig14", name, s"N=$n", m.name,
-          Runner.f2(metrics.latencyMs), Runner.f1(metrics.throughputTps),
-          metrics.nPatterns.toString)
-      }
-    }
-    Runner.emitTable("fig14_detection_vs_n",
-      Seq("figure", "dataset", "N", "method", "latency_ms", "throughput_tps",
-          "patterns"), out.toSeq)
-    out.toSeq
-  }
+  /** Fig 14 runs on denser streams, one shuffle slot per emulated node. */
+  def fig14(spark: SparkSession): Seq[Seq[String]] =
+    detectionSweep(spark, "fig14_detection_vs_n", "fig14", "N",
+      Seq(("taxi", Params.fig14Taxi.world, stream(spark, Params.fig14Taxi)),
+          ("brinkhoff", Params.fig14Brinkhoff.world, stream(spark, Params.fig14Brinkhoff))),
+      Params.nodes.map(n => (s"N=$n", Params.epsPctDefault, Some(n))))
 
   // ----- Fig 15: enumeration vs M, K, L, G (FBA, VBA on Brinkhoff) -----
 
@@ -230,8 +211,7 @@ object Figures {
       val value = axis match {
         case "M" => c.m case "K" => c.k case "L" => c.l case _ => c.g
       }
-      val metrics = RunMetrics(0, wall / n, Runner.meanEmissionDelay(emitted, c), n,
-        0, Enumeration.distinctPatterns(emitted).size)
+      val metrics = Runner.metricsOf(0, wall, n, emitted, c)
       out += Seq("fig15", "brinkhoff", s"$axis=$value", m.name,
         Runner.f2(metrics.latencyMs), Runner.f1(metrics.throughputTps),
         metrics.nPatterns.toString)

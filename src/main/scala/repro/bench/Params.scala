@@ -25,14 +25,12 @@ object Params {
     * (thousands of objects) so algorithmic cost, not per-micro-batch engine
     * overhead, dominates — matching the paper's regime.
     */
-  def geolife: TrajConfig = TrajConfig(
-    name = "geolife-sub", nObjects = sc(2000), nSnapshots = sc(100),
+  def geolife: TrajConfig = TrajConfig(nObjects = sc(2000), nSnapshots = sc(100),
     world = 10000.0, speed = 1.5, nGroups = 50, nHubs = 20, hubSigma = 12,
     hubFrac = 0.55, seed = 42L)
 
   /** Hangzhou-Taxi substitute: vehicle-scale, larger & sparser world. */
-  def taxi: TrajConfig = TrajConfig(
-    name = "taxi-sub", nObjects = sc(2400), nSnapshots = sc(100),
+  def taxi: TrajConfig = TrajConfig(nObjects = sc(2400), nSnapshots = sc(100),
     world = 20000.0, speed = 8.0, nGroups = 60, nHubs = 25, hubSigma = 12,
     hubFrac = 0.55, dropout = 0.06, seed = 101L)
 
@@ -41,16 +39,13 @@ object Params {
     * observable on one machine. Hub dwell is shortened so the dense crowds
     * do not produce persistent co-movement (enumeration stays bounded).
     */
-  def fig14Taxi: TrajConfig = taxi.copy(
-    name = "taxi-dense", nObjects = sc(5000), nSnapshots = sc(30), nHubs = 50,
-    hubFrac = 0.7, hubDwellMean = 6)
-  def fig14Brinkhoff: BrinkhoffConfig = brinkhoff.copy(
-    name = "brinkhoff-dense", nObjects = sc(6000), nSnapshots = sc(30),
+  def fig14Taxi: TrajConfig = taxi.copy(nObjects = sc(5000), nSnapshots = sc(30),
+    nHubs = 50, hubFrac = 0.7, hubDwellMean = 6)
+  def fig14Brinkhoff: BrinkhoffConfig = brinkhoff.copy(nObjects = sc(6000), nSnapshots = sc(30),
     nodes = 20, nGroups = 80)
 
   /** Brinkhoff substitute: network-constrained movement. */
-  def brinkhoff: BrinkhoffConfig = BrinkhoffConfig(
-    name = "brinkhoff-sub", nObjects = sc(2000), nSnapshots = sc(100),
+  def brinkhoff: BrinkhoffConfig = BrinkhoffConfig(nObjects = sc(2000), nSnapshots = sc(100),
     nodes = 40, edge = 250.0, nGroups = 50, seed = 7L)
 
   // ----- default parameters (bold column of Table 3, scaled) -----

@@ -30,8 +30,6 @@ final case class RunMetrics(
   clusterMsPerSnap: Double,     // clustering processing time per snapshot
   enumMsPerSnap: Double,        // enumeration processing time per snapshot
   meanDelaySnaps: Double,       // mean pattern emission delay (snapshots)
-  nSnapshots: Int,
-  avgClusterSize: Double,
   nPatterns: Int,
 ) {
   def procMsPerSnap: Double = clusterMsPerSnap + enumMsPerSnap
@@ -91,19 +89,16 @@ object Runner {
     import spark.implicits._
     val nSnapshots = rows.map(_.time).distinct.length
     val all = ArrayBuffer.empty[ClusterRow]
-    val prevShuffle = spark.conf.get("spark.sql.shuffle.partitions")
-    slots.foreach(n => spark.conf.set("spark.sql.shuffle.partitions", n))
-    try {
+    onSlots(spark, slots) {
       val t0 = nowMs()
       for (b <- batches(rows)) {
-        var ds = spark.createDataset(b.toIndexedSeq)
-        slots.foreach(n => ds = ds.repartition(n))
+        val ds = spread(spark.createDataset(b.toIndexedSeq), slots)
         val clusters = Dbscan.cluster(ds, method.join(ds, p), p.minPts)
         all ++= clusters.collect()
       }
       val wall = nowMs() - t0
       (all.toSeq, wall, nSnapshots)
-    } finally spark.conf.set("spark.sql.shuffle.partitions", prevShuffle)
+    }
   }
 
   /** Timed pattern enumeration over pre-computed cluster snapshots.
@@ -113,17 +108,26 @@ object Runner {
                      method: EnumMethod, slots: Option[Int] = None)
       : (Seq[Emitted], Double) = {
     import spark.implicits._
-    val prevShuffle = spark.conf.get("spark.sql.shuffle.partitions")
-    slots.foreach(n => spark.conf.set("spark.sql.shuffle.partitions", n))
-    try {
+    onSlots(spark, slots) {
       val t0 = nowMs()
-      var ds = spark.createDataset(clusters.toIndexedSeq)
-      slots.foreach(n => ds = ds.repartition(n))
+      val ds = spread(spark.createDataset(clusters.toIndexedSeq), slots)
       val emitted = ICPE.detectPatterns(ds, c, method).collect().toSeq
       val wall = nowMs() - t0
       (emitted, wall)
-    } finally spark.conf.set("spark.sql.shuffle.partitions", prevShuffle)
+    }
   }
+
+  /** Runs `body` with `slots` shuffle partitions, if given (the Fig 14 node
+    * count), and restores the session's setting afterwards.
+    */
+  private def onSlots[A](spark: SparkSession, slots: Option[Int])(body: => A): A = {
+    val prev = spark.conf.get("spark.sql.shuffle.partitions")
+    slots.foreach(n => spark.conf.set("spark.sql.shuffle.partitions", n))
+    try body finally spark.conf.set("spark.sql.shuffle.partitions", prev)
+  }
+
+  private def spread[T](ds: Dataset[T], slots: Option[Int]): Dataset[T] =
+    slots.fold(ds)(n => ds.repartition(n))
 
   /** Mean emission delay over distinct patterns: snapshots between the
     * earliest time a pattern's constraints were decidable and the snapshot
@@ -164,21 +168,21 @@ object Runner {
       : (Seq[Emitted], Double) =
     median(reps)(runEnumeration(spark, clusters, c, method, slots))
 
-  /** Metrics from one clustering + one enumeration measurement. */
-  def metricsOf(clusterMs: Double, enumMs: Double, n: Int, clusters: Seq[ClusterRow],
-                emitted: Seq[Emitted], c: Constraints): RunMetrics = {
-    val avgSize = if (clusters.isEmpty) 0.0
-                  else clusters.map(_.members.length).sum.toDouble / clusters.length
+  /** Metrics from one clustering + one enumeration measurement over `n`
+    * snapshots.
+    */
+  def metricsOf(clusterMs: Double, enumMs: Double, n: Int, emitted: Seq[Emitted],
+                c: Constraints): RunMetrics =
     RunMetrics(
       clusterMsPerSnap = clusterMs / n,
       enumMsPerSnap = enumMs / n,
       meanDelaySnaps = meanEmissionDelay(emitted, c),
-      nSnapshots = n,
-      avgClusterSize = avgSize,
       nPatterns = Enumeration.distinctPatterns(emitted).size,
     )
-  }
 
+  /** Mean members per cluster (Fig 12's `avg_cluster_size`). */
+  def avgClusterSize(clusters: Seq[ClusterRow]): Double =
+    if (clusters.isEmpty) 0.0 else clusters.map(_.members.length).sum.toDouble / clusters.length
 
   // ----- table output -----
 

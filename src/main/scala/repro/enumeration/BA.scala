@@ -4,10 +4,10 @@ import repro.core.{Constraints, Pattern, TimeSeq}
 import scala.collection.immutable.TreeMap
 import scala.collection.mutable.ArrayBuffer
 
-/** Thrown when Baseline enumeration would materialize more candidate subsets
-  * than `maxSubsets` — models the paper's observation that "for a large
-  * |P_t(o)|, Baseline cannot run due to the storage cost" (Fig. 12: B only
-  * completes for Or <= 60%).
+/** Thrown when Baseline enumeration meets a partition of more than 22
+  * objects — models the paper's observation that "for a large |P_t(o)|,
+  * Baseline cannot run due to the storage cost" (Fig. 12: B only completes
+  * for Or <= 60%).
   */
 final class BaselineBlowupException(partitionSize: Int)
   extends RuntimeException(s"Baseline cannot enumerate 2^$partitionSize subsets")
@@ -32,11 +32,13 @@ final class BaselineBlowupException(partitionSize: Int)
   */
 object BA {
 
-  def detect(anchor: Long, parts: TreeMap[Int, Set[Long]], c: Constraints,
-             maxPartitionSize: Int = 22): Seq[Emitted] = {
+  /** Largest partition whose 2^n subsets Baseline materializes. */
+  private val MaxPartitionSize = 22
+
+  def detect(anchor: Long, parts: TreeMap[Int, Set[Long]], c: Constraints): Seq[Emitted] = {
     val out = ArrayBuffer.empty[Emitted]
     for ((t, p0) <- parts) {
-      if (p0.size > maxPartitionSize) throw new BaselineBlowupException(p0.size)
+      if (p0.size > MaxPartitionSize) throw new BaselineBlowupException(p0.size)
       if (p0.size >= c.m - 1) {
         val sorted = p0.toVector.sorted
         for (size <- (c.m - 1) to sorted.length; objs <- sorted.combinations(size)) {

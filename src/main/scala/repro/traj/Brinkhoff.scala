@@ -1,8 +1,6 @@
 package repro.traj
 
-import org.apache.spark.sql.{Dataset, SparkSession}
 import repro.core.SnapshotRow
-import scala.collection.mutable.ArrayBuffer
 import scala.util.Random
 
 /** A simplified Brinkhoff-style network-based moving-objects generator
@@ -11,56 +9,34 @@ import scala.util.Random
   * The road network is an n x n lattice with edge length `edge`; each object
   * walks the network with "random but reasonable direction and speed": it
   * moves along edges at a per-object speed, choosing the next edge at each
-  * node while avoiding immediate backtracking. Planted groups follow a
-  * shared leader walk with small jitter during on-episodes and independent
-  * walks during off-episodes, exactly like [[TrajGen]].
+  * node while avoiding immediate backtracking. Planted groups
+  * ([[StreamGen]]) follow a leader's network walk, exactly like [[TrajGen]].
   */
 final case class BrinkhoffConfig(
-  name: String = "brinkhoff",
   nObjects: Int = 800,
   nSnapshots: Int = 240,
   nodes: Int = 40,
   edge: Double = 250.0,
-  speedMin: Double = 3.0,
-  speedMax: Double = 12.0,
   nGroups: Int = 35,
   groupSizeMin: Int = 4,
   groupSizeMax: Int = 9,
-  groupJitter: Double = 2.0,
-  episodeOnMean: Int = 40,
-  episodeOffMean: Int = 3,
   dropout: Double = 0.02,
   seed: Long = 7L,
-) {
+) extends StreamConfig {
   /** World side length implied by the lattice. */
   def world: Double = nodes * edge
+
+  def genObject(id: Long): Seq[SnapshotRow] = Brinkhoff.genObject(this, id)
 }
 
 object Brinkhoff {
 
-  private val GroupSalt = 0x9E3779B97F4A7C15L
-  private val ObjSalt   = 0xC2B2AE3D27D4EB4FL
-
-  def groupSizes(cfg: BrinkhoffConfig): IndexedSeq[Int] = {
-    val rng = new Random(cfg.seed)
-    (0 until cfg.nGroups).map { _ =>
-      cfg.groupSizeMin + rng.nextInt(cfg.groupSizeMax - cfg.groupSizeMin + 1)
-    }
-  }
-
-  def groupOf(cfg: BrinkhoffConfig, id: Long): Option[Int] = {
-    var off = 0L
-    val sizes = groupSizes(cfg)
-    var g = 0
-    while (g < sizes.length) {
-      if (id >= off && id < off + sizes(g)) return Some(g)
-      off += sizes(g); g += 1
-    }
-    None
-  }
+  /** Range of the per-object speeds, in world units per snapshot. */
+  val SpeedMin = 3.0
+  val SpeedMax = 12.0
 
   /** One network walk: continuous positions along lattice edges. */
-  def networkWalk(rng: Random, cfg: BrinkhoffConfig, speed: Double): Array[(Double, Double)] = {
+  def networkWalk(rng: Random, cfg: BrinkhoffConfig, speed: Double): StreamGen.Path = {
     val n = cfg.nodes
     var cur = (rng.nextInt(n), rng.nextInt(n))
     var prev = cur
@@ -88,34 +64,13 @@ object Brinkhoff {
     pool(rng.nextInt(pool.length))
   }
 
+  /** All records of one object. Its speed is its RNG's first draw; group
+    * leaders walk at the middle speed.
+    */
   def genObject(cfg: BrinkhoffConfig, id: Long): Seq[SnapshotRow] = {
-    val rng = new Random(cfg.seed ^ (ObjSalt * (id + 1)))
-    val speed = cfg.speedMin + rng.nextDouble() * (cfg.speedMax - cfg.speedMin)
-    val positions: Array[(Double, Double)] = groupOf(cfg, id) match {
-      case Some(g) =>
-        val leader = networkWalk(new Random(cfg.seed ^ (GroupSalt * (g + 1))), cfg,
-          speed = (cfg.speedMin + cfg.speedMax) / 2)
-        val ep = TrajGen.episodes(rng, cfg.nSnapshots, cfg.episodeOnMean, cfg.episodeOffMean)
-        val solo = networkWalk(rng, cfg, speed)
-        Array.tabulate(cfg.nSnapshots) { t =>
-          if (ep(t)) (leader(t)._1 + rng.nextGaussian() * cfg.groupJitter * 0.4,
-                      leader(t)._2 + rng.nextGaussian() * cfg.groupJitter * 0.4)
-          else solo(t)
-        }
-      case None => networkWalk(rng, cfg, speed)
-    }
-    val rows = new ArrayBuffer[SnapshotRow](cfg.nSnapshots)
-    var t = 0
-    while (t < cfg.nSnapshots) {
-      if (rng.nextDouble() >= cfg.dropout)
-        rows += SnapshotRow(t, id, positions(t)._1, positions(t)._2)
-      t += 1
-    }
-    rows.toSeq
-  }
-
-  def generate(spark: SparkSession, cfg: BrinkhoffConfig): Dataset[SnapshotRow] = {
-    import spark.implicits._
-    spark.range(cfg.nObjects).flatMap(id => genObject(cfg, id))
+    val rng = StreamGen.objectRng(cfg, id)
+    val speed = SpeedMin + rng.nextDouble() * (SpeedMax - SpeedMin)
+    StreamGen.records(cfg, id, rng)(networkWalk(_, cfg, (SpeedMin + SpeedMax) / 2))(
+      networkWalk(rng, cfg, speed), networkWalk(rng, cfg, speed))
   }
 }

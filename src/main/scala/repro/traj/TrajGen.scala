@@ -1,75 +1,44 @@
 package repro.traj
 
-import org.apache.spark.sql.{Dataset, SparkSession}
 import repro.core.SnapshotRow
-import scala.collection.mutable.ArrayBuffer
 import scala.util.Random
 
-/** Configuration of the synthetic trajectory stream generator.
+/** Configuration of the free-space synthetic trajectory stream generator.
   *
   * The generated population mixes three behaviours:
-  *  - *group members*: follow a shared group path with small jitter, in
-  *    on/off episodes (on = co-moving, off = wandered away). These plant
-  *    co-movement patterns with the L/G gap structure of Definition 4.
+  *  - *group members*: planted co-movement groups ([[StreamGen]]) whose
+  *    leaders walk like free walkers.
   *  - *hub dwellers*: loiter near one of `nHubs` hotspots for a limited
   *    dwell, then travel to another. They create the dense instantaneous
   *    clusters (average cluster size grows with the object ratio Or) that
   *    drive clustering cost, while their churn keeps persistent
   *    co-movement — and thus enumeration blow-up — bounded.
   *  - *free walkers*: independent random walks (background noise).
-  *
-  * Everything is deterministic in (config, seed): each object derives its
-  * own RNG from the seed and its id, group paths from the seed and the
-  * group id, so distributed generation is reproducible.
   */
 final case class TrajConfig(
-  name: String = "synthetic",
   nObjects: Int = 800,
   nSnapshots: Int = 240,
   world: Double = 10000.0,
   nGroups: Int = 40,
   groupSizeMin: Int = 4,
   groupSizeMax: Int = 9,
-  groupJitter: Double = 2.0,
   speed: Double = 3.0,
   nHubs: Int = 20,
   hubSigma: Double = 15.0,
   hubFrac: Double = 0.5,
   hubDwellMean: Int = 14,
-  episodeOnMean: Int = 40,
-  episodeOffMean: Int = 3,
   dropout: Double = 0.03,
   seed: Long = 42L,
-)
+) extends StreamConfig {
+  def genObject(id: Long): Seq[SnapshotRow] = TrajGen.genObject(this, id)
+}
 
 object TrajGen {
 
-  private val GroupSalt = 0x9E3779B97F4A7C15L
-  private val ObjSalt   = 0xC2B2AE3D27D4EB4FL
-  private val HubSalt   = 0x165667B19E3779F9L
-
-  /** Sizes of the planted groups (deterministic in the seed). */
-  def groupSizes(cfg: TrajConfig): IndexedSeq[Int] = {
-    val rng = new Random(cfg.seed)
-    (0 until cfg.nGroups).map { _ =>
-      cfg.groupSizeMin + rng.nextInt(cfg.groupSizeMax - cfg.groupSizeMin + 1)
-    }
-  }
-
-  /** (groupId, memberIndex) of object `id`, if it is a group member. */
-  def groupOf(cfg: TrajConfig, id: Long): Option[(Int, Int)] = {
-    var off = 0L
-    val sizes = groupSizes(cfg)
-    var g = 0
-    while (g < sizes.length) {
-      if (id < off + sizes(g) && id >= off) return Some((g, (id - off).toInt))
-      off += sizes(g); g += 1
-    }
-    None
-  }
+  private val HubSalt = 0x165667B19E3779F9L
 
   /** A smooth bounded random-walk path (waypointless heading walk). */
-  def path(rng: Random, cfg: TrajConfig, speed: Double): Array[(Double, Double)] = {
+  def path(rng: Random, cfg: TrajConfig, speed: Double): StreamGen.Path = {
     var x = rng.nextDouble() * cfg.world
     var y = rng.nextDouble() * cfg.world
     var heading = rng.nextDouble() * 2 * math.Pi
@@ -85,63 +54,26 @@ object TrajGen {
     }
   }
 
-  /** Per-time on/off episode flags with geometric on/off durations. */
-  def episodes(rng: Random, n: Int, onMean: Int, offMean: Int): Array[Boolean] = {
-    val out = new Array[Boolean](n)
-    var i = 0
-    var on = true
-    while (i < n) {
-      val mean = if (on) onMean else offMean
-      val len = math.max(1, math.round(-mean * math.log(1 - rng.nextDouble())).toInt)
-      var j = 0
-      while (j < len && i < n) { out(i) = on; i += 1; j += 1 }
-      on = !on
-    }
-    out
-  }
-
   /** Hub locations (deterministic in the seed). */
   def hubs(cfg: TrajConfig): IndexedSeq[(Double, Double)] = {
     val rng = new Random(cfg.seed ^ HubSalt)
     (0 until cfg.nHubs).map(_ => (rng.nextDouble() * cfg.world, rng.nextDouble() * cfg.world))
   }
 
-  /** Generate all records of one object. */
+  /** Generate all records of one object: group members and free walkers
+    * walk `path`, the first non-members after the groups dwell at hubs.
+    */
   def genObject(cfg: TrajConfig, id: Long): Seq[SnapshotRow] = {
-    val rng = new Random(cfg.seed ^ (ObjSalt * (id + 1)))
-    val rows = new ArrayBuffer[SnapshotRow](cfg.nSnapshots)
-    val positions: Array[(Double, Double)] = groupOf(cfg, id) match {
-      case Some((g, _)) => groupMemberPositions(cfg, g, rng)
-      case None =>
-        val sizesTotal = groupSizes(cfg).sum
-        val nonGroup = cfg.nObjects - sizesTotal
-        val hubCount = math.round(nonGroup * cfg.hubFrac).toInt
-        if (id < sizesTotal + hubCount) hubDwellerPositions(cfg, rng)
-        else path(rng, cfg, cfg.speed)
-    }
-    var t = 0
-    while (t < cfg.nSnapshots) {
-      if (rng.nextDouble() >= cfg.dropout)
-        rows += SnapshotRow(t, id, positions(t)._1, positions(t)._2)
-      t += 1
-    }
-    rows.toSeq
+    val rng = StreamGen.objectRng(cfg, id)
+    StreamGen.records(cfg, id, rng)(path(_, cfg, cfg.speed))(path(rng, cfg, cfg.speed), {
+      val grouped = StreamGen.groupSizes(cfg).sum
+      val hubCount = math.round((cfg.nObjects - grouped) * cfg.hubFrac).toInt
+      if (id < grouped + hubCount) hubDwellerPositions(cfg, rng)
+      else path(rng, cfg, cfg.speed)
+    })
   }
 
-  private def groupMemberPositions(cfg: TrajConfig, g: Int, rng: Random): Array[(Double, Double)] = {
-    val gPath = path(new Random(cfg.seed ^ (GroupSalt * (g + 1))), cfg, cfg.speed)
-    val ep = episodes(rng, cfg.nSnapshots, cfg.episodeOnMean, cfg.episodeOffMean)
-    val solo = path(rng, cfg, cfg.speed) // where the member wanders when off
-    Array.tabulate(cfg.nSnapshots) { t =>
-      if (ep(t)) {
-        val (gx, gy) = gPath(t)
-        (gx + rng.nextGaussian() * cfg.groupJitter * 0.4,
-         gy + rng.nextGaussian() * cfg.groupJitter * 0.4)
-      } else solo(t)
-    }
-  }
-
-  private def hubDwellerPositions(cfg: TrajConfig, rng: Random): Array[(Double, Double)] = {
+  private def hubDwellerPositions(cfg: TrajConfig, rng: Random): StreamGen.Path = {
     val hs = hubs(cfg)
     val travelSpeed = cfg.speed * 25
     val out = new Array[(Double, Double)](cfg.nSnapshots)
@@ -176,10 +108,4 @@ object TrajGen {
 
   private def clamp(v: Double, bound: Double): Double =
     math.max(-bound, math.min(bound, v))
-
-  /** The distributed generator: one task per object-range, deterministic. */
-  def generate(spark: SparkSession, cfg: TrajConfig): Dataset[SnapshotRow] = {
-    import spark.implicits._
-    spark.range(cfg.nObjects).flatMap(id => genObject(cfg, id))
-  }
 }

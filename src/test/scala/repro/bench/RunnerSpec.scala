@@ -56,12 +56,12 @@ class RunnerSpec extends AnyFunSuite {
   test("metricsOf composes latency from processing and emission delay") {
     val cl = Seq(ClusterRow(1, 1L, Seq(1L, 2L, 3L)))
     val emitted = Seq(Emitted(Pattern(Seq(1L, 2L), Seq(1, 2, 3, 4)), 8)) // delay 4
-    val m = Runner.metricsOf(clusterMs = 100, enumMs = 50, n = 10, cl, emitted, c)
+    val m = Runner.metricsOf(clusterMs = 100, enumMs = 50, n = 10, emitted, c)
     assert(m.procMsPerSnap == 15.0)
     assert(m.meanDelaySnaps == 4.0)
     assert(m.latencyMs == 15.0 * 5)
     assert(m.throughputTps == 1000.0 / 15.0)
-    assert(m.avgClusterSize == 3.0 && m.nPatterns == 1)
+    assert(Runner.avgClusterSize(cl) == 3.0 && m.nPatterns == 1)
   }
 
   test("constraints sweep ranges preserve the paper's Table 3 spread") {

@@ -3,7 +3,7 @@ package repro.core
 import org.apache.spark.sql.functions.{avg, col, count, lit, round}
 import org.scalacheck.Gen
 import repro.{Oracle, PropSupport, SparkSpec, TestData}
-import repro.traj.{TrajConfig, TrajGen}
+import repro.traj.{StreamGen, TrajConfig}
 import scala.util.Random
 
 /** RJC range join tests: GridAllocate/GridQuery unit behavior, Lemma 1/2
@@ -161,7 +161,7 @@ class RangeJoinSpec extends SparkSpec with PropSupport {
 
   /** A small generated trajectory stream for the oracle's own checks. */
   private lazy val trajRows: Seq[SnapshotRow] =
-    TrajGen.generate(spark, TrajConfig(nObjects = 60, nSnapshots = 8, world = 2000.0,
+    StreamGen.generate(spark, TrajConfig(nObjects = 60, nSnapshots = 8, world = 2000.0,
       nGroups = 4, groupSizeMin = 4, groupSizeMax = 6, nHubs = 3, hubSigma = 10,
       speed = 2.0, dropout = 0.05, seed = 11L)).collect().toSeq
 

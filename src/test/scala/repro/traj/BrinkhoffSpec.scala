@@ -12,21 +12,21 @@ class BrinkhoffSpec extends SparkSpec {
     edge = 100.0, nGroups = 4, seed = 3L)
 
   test("generation is deterministic") {
-    val a = Brinkhoff.generate(spark, cfg).collect().sortBy(r => (r.time, r.id))
-    val b = Brinkhoff.generate(spark, cfg).collect().sortBy(r => (r.time, r.id))
+    val a = StreamGen.generate(spark, cfg).collect().sortBy(r => (r.time, r.id))
+    val b = StreamGen.generate(spark, cfg).collect().sortBy(r => (r.time, r.id))
     assert(a.toSeq == b.toSeq)
   }
 
   test("world extent follows the lattice") {
     assert(cfg.world == 1000.0)
-    val rows = Brinkhoff.generate(spark, cfg).collect().toSeq
+    val rows = StreamGen.generate(spark, cfg).collect().toSeq
     assert(rows.forall(r => r.x >= -cfg.edge && r.x <= cfg.world + cfg.edge &&
                             r.y >= -cfg.edge && r.y <= cfg.world + cfg.edge))
   }
 
   test("non-group objects move along lattice edges (one axis-aligned coordinate)") {
-    val free = Brinkhoff.generate(spark, cfg).collect().toSeq
-      .filter(r => Brinkhoff.groupOf(cfg, r.id).isEmpty)
+    val free = StreamGen.generate(spark, cfg).collect().toSeq
+      .filter(r => StreamGen.groupOf(cfg, r.id).isEmpty)
     free.foreach { r =>
       val onX = math.abs(r.x / cfg.edge - math.round(r.x / cfg.edge)) < 1e-6
       val onY = math.abs(r.y / cfg.edge - math.round(r.y / cfg.edge)) < 1e-6
@@ -35,13 +35,13 @@ class BrinkhoffSpec extends SparkSpec {
   }
 
   test("per-step displacement is bounded by the maximum speed") {
-    val rows = Brinkhoff.generate(spark, cfg).collect().toSeq
-      .filter(r => Brinkhoff.groupOf(cfg, r.id).isEmpty)
+    val rows = StreamGen.generate(spark, cfg).collect().toSeq
+      .filter(r => StreamGen.groupOf(cfg, r.id).isEmpty)
     rows.groupBy(_.id).foreach { case (_, rs) =>
       rs.sortBy(_.time).sliding(2).foreach {
         case Seq(a, b) if b.time == a.time + 1 =>
           val d = math.abs(a.x - b.x) + math.abs(a.y - b.y)
-          assert(d <= cfg.speedMax + 1e-6, s"jump of $d between $a and $b")
+          assert(d <= Brinkhoff.SpeedMax + 1e-6, s"jump of $d between $a and $b")
         case _ =>
       }
     }
@@ -51,24 +51,25 @@ class BrinkhoffSpec extends SparkSpec {
     // With episodes mostly on, group members must be mutually near for most
     // of the stream: check that a substantial fraction of snapshots has the
     // whole first group within a tight box.
-    val rows = Brinkhoff.generate(spark, cfg).collect().toSeq
-    val g0 = (0L until Brinkhoff.groupSizes(cfg)(0).toLong)
+    val rows = StreamGen.generate(spark, cfg).collect().toSeq
+    val g0 = (0L until StreamGen.groupSizes(cfg)(0).toLong)
+    val box = 4 * StreamGen.GroupJitter
     val together = (0 until cfg.nSnapshots).count { t =>
       val pos = rows.filter(r => r.time == t && g0.contains(r.id))
       pos.length == g0.size && {
         val xs = pos.map(_.x); val ys = pos.map(_.y)
-        (xs.max - xs.min) <= 4 * cfg.groupJitter && (ys.max - ys.min) <= 4 * cfg.groupJitter
+        (xs.max - xs.min) <= box && (ys.max - ys.min) <= box
       }
     }
     assert(together > cfg.nSnapshots / 3, s"group together only $together snapshots")
   }
 
   test("group sizes and id mapping are consistent") {
-    val sizes = Brinkhoff.groupSizes(cfg)
+    val sizes = StreamGen.groupSizes(cfg)
     assert(sizes.length == cfg.nGroups)
     val total = sizes.sum
-    assert((0L until total).forall(id => Brinkhoff.groupOf(cfg, id).isDefined))
-    assert(Brinkhoff.groupOf(cfg, total).isEmpty)
+    assert((0L until total).forall(id => StreamGen.groupOf(cfg, id).isDefined))
+    assert(StreamGen.groupOf(cfg, total).isEmpty)
   }
 
   test("the benchmark's lattice streams are pinned record for record") {

@@ -16,19 +16,19 @@ class TrajGenSpec extends SparkSpec {
     speed = 2.0, dropout = 0.05, seed = 11L)
 
   test("generation is deterministic in (config, seed)") {
-    val a = TrajGen.generate(spark, cfg).collect().sortBy(r => (r.time, r.id))
-    val b = TrajGen.generate(spark, cfg).collect().sortBy(r => (r.time, r.id))
+    val a = StreamGen.generate(spark, cfg).collect().sortBy(r => (r.time, r.id))
+    val b = StreamGen.generate(spark, cfg).collect().sortBy(r => (r.time, r.id))
     assert(a.toSeq == b.toSeq)
   }
 
   test("different seeds give different data") {
-    val a = TrajGen.generate(spark, cfg).collect().toSeq
-    val b = TrajGen.generate(spark, cfg.copy(seed = 12L)).collect().toSeq
+    val a = StreamGen.generate(spark, cfg).collect().toSeq
+    val b = StreamGen.generate(spark, cfg.copy(seed = 12L)).collect().toSeq
     assert(a != b)
   }
 
   test("row counts: every object reports almost every snapshot") {
-    val rows = TrajGen.generate(spark, cfg).collect().toSeq
+    val rows = StreamGen.generate(spark, cfg).collect().toSeq
     val expected = cfg.nObjects.toLong * cfg.nSnapshots
     assert(rows.length > expected * (1 - 3 * cfg.dropout))
     assert(rows.length <= expected)
@@ -37,29 +37,29 @@ class TrajGenSpec extends SparkSpec {
   }
 
   test("positions stay within a sane envelope of the world") {
-    val rows = TrajGen.generate(spark, cfg).collect().toSeq
+    val rows = StreamGen.generate(spark, cfg).collect().toSeq
     assert(rows.forall(r => r.x > -cfg.world && r.x < 2 * cfg.world &&
                             r.y > -cfg.world && r.y < 2 * cfg.world))
   }
 
   test("group sizes respect the configured bounds") {
-    val sizes = TrajGen.groupSizes(cfg)
+    val sizes = StreamGen.groupSizes(cfg)
     assert(sizes.length == cfg.nGroups)
     assert(sizes.forall(s => s >= cfg.groupSizeMin && s <= cfg.groupSizeMax))
   }
 
   test("groupOf maps the leading id range onto groups consistently") {
-    val sizes = TrajGen.groupSizes(cfg)
+    val sizes = StreamGen.groupSizes(cfg)
     val total = sizes.sum
-    val assigned = (0L until total).flatMap(id => TrajGen.groupOf(cfg, id).map(_._1))
+    val assigned = (0L until total).flatMap(id => StreamGen.groupOf(cfg, id))
     assert(assigned.length == total)
     assert(assigned.groupBy(identity).view.mapValues(_.size).toMap ==
       sizes.indices.map(g => g -> sizes(g)).toMap)
-    assert(TrajGen.groupOf(cfg, total).isEmpty)
+    assert(StreamGen.groupOf(cfg, total).isEmpty)
   }
 
   test("group members co-locate during on-episodes (clusters form)") {
-    val rows = TrajGen.generate(spark, cfg).collect().toSeq
+    val rows = StreamGen.generate(spark, cfg).collect().toSeq
     val eps = 4.0
     val clusters = Reference.dbscan(rows.filter(_.time < 10), eps, 3)
     assert(clusters.nonEmpty, "expected planted groups to form clusters")
@@ -69,7 +69,7 @@ class TrajGenSpec extends SparkSpec {
     val small = TrajConfig(nObjects = 100, nSnapshots = 60, world = 2000.0,
       nGroups = 6, groupSizeMin = 4, groupSizeMax = 7, nHubs = 4, hubSigma = 10,
       speed = 2.0, dropout = 0.03, seed = 21L)
-    val ds = TrajGen.generate(spark, small)
+    val ds = StreamGen.generate(spark, small)
     val p = ClusterParams(eps = 2000.0 * 0.002, minPts = 3, lg = 2000.0 * 0.02)
     val clusters = ICPE.clusterSnapshots(ds, p).collect().toSeq
     val pats = Reference.patterns(clusters, Constraints(3, 8, 2, 2))
@@ -77,7 +77,7 @@ class TrajGenSpec extends SparkSpec {
   }
 
   test("episodes produce both on and off stretches") {
-    val ep = TrajGen.episodes(new scala.util.Random(1), 500, 30, 4)
+    val ep = StreamGen.episodes(new scala.util.Random(1), 500)
     assert(ep.count(identity) > 250 && ep.count(!_) > 10)
   }
 
