@@ -52,7 +52,7 @@ object Runner {
     */
   val batchSnapshots: Int = 50
 
-  /** Repetitions per measured point (median wall time is reported) — the
+  /** Repetitions per measured point (the best wall time is reported) — the
     * algorithms are deterministic, so only the timing varies.
     */
   val reps: Int = 2

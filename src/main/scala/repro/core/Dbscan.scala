@@ -51,16 +51,11 @@ object Dbscan {
       }
     }
 
-    // Cluster id = min core id per component.
-    val clusterId = mutable.HashMap.empty[Long, Long] // root -> min core id
-    isCore.foreach { c =>
-      val r = find(c)
-      clusterId.updateWith(r)(v => Some(math.min(v.getOrElse(Long.MaxValue), c)))
-    }
-
+    // The larger root is linked under the smaller, so a component's root is
+    // its smallest core id: the cluster id.
     val members = mutable.HashMap.empty[Long, mutable.TreeSet[Long]]
     isCore.foreach { c =>
-      members.getOrElseUpdate(clusterId(find(c)), mutable.TreeSet.empty[Long]) += c
+      members.getOrElseUpdate(find(c), mutable.TreeSet.empty[Long]) += c
     }
     // Border points: density reachable from a core; deterministic assignment
     // to the smallest eligible cluster id.
@@ -68,7 +63,7 @@ object Dbscan {
       if (!isCore(p)) {
         val coreNbrs = adj.get(p).iterator.flatten.filter(isCore)
         if (coreNbrs.nonEmpty) {
-          val cid = coreNbrs.map(c => clusterId(find(c))).min
+          val cid = coreNbrs.map(find).min
           members(cid) += p
         }
       }
@@ -77,17 +72,21 @@ object Dbscan {
       .toVector.sortBy(_.clusterId)
   }
 
-  /** Distributed clustering: cogroup snapshot points with neighbor pairs per
-    * time and run the linear local pass — one task per snapshot, mirroring
-    * ICPE's snapshot-level parallelism.
+  /** Distributed clustering: group the range join's neighbor pairs by time
+    * and run the linear local pass over each group's distinct endpoints —
+    * one task per snapshot, mirroring ICPE's snapshot-level parallelism.
+    * With `minPts >= 2` a point without a neighbor is noise, so the pairs
+    * alone decide every cluster; `snapshots` is unused and kept for callers
+    * that pass the join's input alongside its output.
     */
   def cluster(snapshots: Dataset[SnapshotRow], neighbors: Dataset[NeighborPair],
               minPts: Int): Dataset[ClusterRow] = {
-    val spark = snapshots.sparkSession
+    require(minPts >= 2, s"distributed DBSCAN needs minPts >= 2, got $minPts")
+    val spark = neighbors.sparkSession
     import spark.implicits._
-    snapshots.groupByKey(_.time)
-      .cogroup(neighbors.groupByKey(_.time)) { (time, pts, prs) =>
-        clusterLocal(time, pts.map(_.id).toVector, prs.toVector, minPts).iterator
-      }
+    neighbors.groupByKey(_.time).flatMapGroups { (time, prs) =>
+      val pairs = prs.toVector
+      clusterLocal(time, (pairs.map(_.a) ++ pairs.map(_.b)).distinct, pairs, minPts).iterator
+    }
   }
 }

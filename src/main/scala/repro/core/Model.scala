@@ -39,7 +39,6 @@ final case class PartitionRow(time: Int, anchor: Long, others: Seq[Long])
   */
 final case class Pattern(objects: Seq[Long], times: Seq[Int]) {
   require(objects == objects.sorted, s"pattern objects must be sorted: $objects")
-  def key: String = objects.mkString(",")
 }
 
 /** The four constraints of a general co-movement pattern CP(M, K, L, G)
@@ -59,8 +58,11 @@ final case class Constraints(m: Int, k: Int, l: Int, g: Int) {
 }
 
 /** Parameters of the clustering phase: DBSCAN's (eps, minPts) plus the grid
-  * cell width l_g of the GR-index global grid (§5.1).
+  * cell width l_g of the GR-index global grid (§5.1). `minPts >= 2`: every
+  * cluster member then has a neighbor, so DBSCAN can run from the neighbor
+  * stream alone (minPts = 1 would only add singleton clusters, which
+  * Lemma 3 drops for any M >= 2).
   */
 final case class ClusterParams(eps: Double, minPts: Int, lg: Double) {
-  require(eps > 0 && lg > 0 && minPts >= 1, s"bad cluster params: $this")
+  require(eps > 0 && lg > 0 && minPts >= 2, s"bad cluster params: $this")
 }

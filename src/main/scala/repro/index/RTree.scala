@@ -115,58 +115,54 @@ final class RTree(maxEntries: Int = 16) {
       (grown, c.mbr.area)
     }
 
-  /** Quadratic-split seed pick: the pair wasting the most area together. */
-  private def pickSeeds(rects: IndexedSeq[Rect]): (Int, Int) = {
-    var best = (0, 1); var worst = -1.0
+  /** Quadratic split: the seeds are the pair wasting the most area together;
+    * each further entry joins the group whose MBR it enlarges least (ties to
+    * the smaller group), unless the other group needs every remaining entry
+    * to reach `minEntries`. Returns the two groups' entry indices, each in
+    * entry order after its seed.
+    */
+  private def split(rects: IndexedSeq[Rect]): (Seq[Int], Seq[Int]) = {
+    var (s1, s2) = (0, 1); var worst = -1.0
     for (i <- rects.indices; j <- (i + 1) until rects.length) {
       val waste = rects(i).union(rects(j)).area - rects(i).area - rects(j).area
-      if (waste > worst) { worst = waste; best = (i, j) }
+      if (waste > worst) { worst = waste; s1 = i; s2 = j }
     }
-    best
+    val a = ArrayBuffer(s1); val b = ArrayBuffer(s2)
+    var ra = rects(s1); var rb = rects(s2)
+    for (i <- rects.indices if i != s1 && i != s2) {
+      val remaining = rects.length - a.length - b.length
+      val toA =
+        if (a.length + remaining <= minEntries) true
+        else if (b.length + remaining <= minEntries) false
+        else {
+          val da = ra.union(rects(i)).area - ra.area
+          val db = rb.union(rects(i)).area - rb.area
+          da < db || (da == db && a.length <= b.length)
+        }
+      if (toA) { a += i; ra = ra.union(rects(i)) } else { b += i; rb = rb.union(rects(i)) }
+    }
+    (a.toSeq, b.toSeq)
   }
 
   private def splitLeaf(l: Leaf): (Node, Node) = {
     val rects = l.ids.indices.map(i => Rect.point(l.xs(i), l.ys(i)))
-    val (s1, s2) = pickSeeds(rects)
-    val a = new Leaf(rects(s1)); val b = new Leaf(rects(s2))
-    def add(t: Leaf, i: Int): Unit = {
-      t.ids += l.ids(i); t.xs += l.xs(i); t.ys += l.ys(i)
-      t.mbr = if (t.size == 1) rects(i) else t.mbr.union(rects(i))
+    def leaf(group: Seq[Int]): Node = {
+      val t = new Leaf(group.map(rects).reduce(_ union _))
+      group.foreach { i => t.ids += l.ids(i); t.xs += l.xs(i); t.ys += l.ys(i) }
+      t
     }
-    add(a, s1); add(b, s2)
-    for (i <- l.ids.indices if i != s1 && i != s2) {
-      val remaining = l.size - 2 - (a.size + b.size - 2)
-      val t =
-        if (a.size + remaining <= minEntries) a
-        else if (b.size + remaining <= minEntries) b
-        else {
-          val da = a.mbr.union(rects(i)).area - a.mbr.area
-          val db = b.mbr.union(rects(i)).area - b.mbr.area
-          if (da < db || (da == db && a.size <= b.size)) a else b
-        }
-      add(t, i)
-    }
-    (a, b)
+    val (a, b) = split(rects)
+    (leaf(a), leaf(b))
   }
 
   private def splitBranch(br: Branch): (Node, Node) = {
     val rects = br.children.map(_.mbr).toIndexedSeq
-    val (s1, s2) = pickSeeds(rects)
-    val a = new Branch(rects(s1)); val b = new Branch(rects(s2))
-    a.children += br.children(s1); b.children += br.children(s2)
-    for (i <- br.children.indices if i != s1 && i != s2) {
-      val remaining = br.children.length - 2 - (a.children.length + b.children.length - 2)
-      val t =
-        if (a.children.length + remaining <= minEntries) a
-        else if (b.children.length + remaining <= minEntries) b
-        else {
-          val da = a.mbr.union(rects(i)).area - a.mbr.area
-          val db = b.mbr.union(rects(i)).area - b.mbr.area
-          if (da < db || (da == db && a.children.length <= b.children.length)) a else b
-        }
-      t.children += br.children(i)
-      t.mbr = t.mbr.union(rects(i))
+    def branch(group: Seq[Int]): Node = {
+      val t = new Branch(group.map(rects).reduce(_ union _))
+      t.children ++= group.map(br.children)
+      t
     }
-    (a, b)
+    val (a, b) = split(rects)
+    (branch(a), branch(b))
   }
 }

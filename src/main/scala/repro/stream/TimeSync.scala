@@ -37,8 +37,10 @@ final class TimeSync(expected: Set[Long] = Set.empty) {
 
   /** Per-trajectory records waiting for their predecessor, keyed by lastTime. */
   private val pending = mutable.HashMap.empty[Long, mutable.HashMap[Int, Gps]]
-  /** Per-trajectory frontier: discrete time of the last released record. */
-  private val frontier = mutable.HashMap.empty[Long, Int]
+  /** Per-trajectory frontier: discrete time of the last released record, -1
+    * before the first (expected trajectories start there).
+    */
+  private val frontier = mutable.HashMap.from(expected.iterator.map(_ -> -1))
   /** Released records buffered per snapshot time, not yet emitted. */
   private val buffered = mutable.TreeMap.empty[Int, mutable.ArrayBuffer[Gps]]
   private var emittedUpTo = -1
@@ -106,16 +108,11 @@ final class TimeSync(expected: Set[Long] = Set.empty) {
     }
   }
 
-  private def emitComplete(): Seq[(Int, Seq[Gps])] = {
-    if (frontier.isEmpty && expected.isEmpty) return Nil
-    // Membership is decided for every t <= safe: all known trajectories have
-    // released their records up to their frontier; expected-but-unseen
-    // trajectories hold the frontier at -1.
-    val unseen = expected.exists(id => !frontier.contains(id))
-    if (unseen) return Nil
-    val safe = if (frontier.isEmpty) -1 else frontier.values.min
-    emitUpTo(safe)
-  }
+  // Membership is decided for every t up to the smallest frontier: all known
+  // trajectories have released their records up to their frontier, and
+  // expected-but-unseen ones hold it at -1.
+  private def emitComplete(): Seq[(Int, Seq[Gps])] =
+    if (frontier.isEmpty) Nil else emitUpTo(frontier.values.min)
 
   private def emitUpTo(limit: Int): Seq[(Int, Seq[Gps])] = {
     if (limit <= emittedUpTo) return Nil

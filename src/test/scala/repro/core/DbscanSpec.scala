@@ -95,10 +95,31 @@ class DbscanSpec extends SparkSpec with PropSupport {
     assert(got == expected)
   }
 
+  test("minPts = 1 is rejected by ClusterParams and distributed cluster()") {
+    intercept[IllegalArgumentException](ClusterParams(eps = 1.0, minPts = 1, lg = 3.0))
+    val ds = spark.createDataset(rows((1L, 0.0, 0.0), (2L, 0.5, 0.0)))
+    intercept[IllegalArgumentException](Dbscan.cluster(ds, RangeJoin.rjc(ds, 1.0, 3.0), 1))
+  }
+
+  test("distributed cluster() equals Reference.dbscan with isolated points") {
+    val eps = 1.0
+    val isolated = rows((1L, 0.0, 0.0), (2L, 10.0, 0.0), (3L, 20.0, 5.0))
+    val mixed = rows((1L, 0.0, 0.0), (2L, 0.5, 0.0), (3L, 1.2, 0.0), (4L, 10.0, 0.0),
+                     (5L, 30.0, 30.0), (6L, 30.4, 30.9), (7L, 50.0, 0.0))
+      .map(_.copy(time = 2))
+    assert(Reference.dbscan(mixed, eps, 2).map(_.members) == Seq(Vector(1L, 2L, 3L), Vector(5L, 6L)))
+    for (data <- Seq(isolated, mixed); minPts <- 2 to 3) {
+      val ds = spark.createDataset(data)
+      val got = Dbscan.cluster(ds, RangeJoin.rjc(ds, eps, 3.0), minPts)
+        .collect().toSeq.sortBy(c => (c.time, c.clusterId))
+      assert(got == Reference.dbscan(data, eps, minPts))
+    }
+  }
+
   test("property: distributed DBSCAN equals naive DBSCAN") {
     val caseGen = for {
       seed <- Gen.choose(0L, 9999L); n <- Gen.choose(20, 80)
-      minPts <- Gen.choose(1, 5); eps <- Gen.choose(0.5, 3.0)
+      minPts <- Gen.choose(2, 5); eps <- Gen.choose(0.5, 3.0)
     } yield (seed, n, minPts, eps)
     forAllG(caseGen, n = 6) { case (seed, n, minPts, eps) =>
       val rng = new Random(seed)
