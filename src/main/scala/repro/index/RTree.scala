@@ -118,10 +118,10 @@ final class RTree(maxEntries: Int = 16) {
   /** Quadratic split: the seeds are the pair wasting the most area together;
     * each further entry joins the group whose MBR it enlarges least (ties to
     * the smaller group), unless the other group needs every remaining entry
-    * to reach `minEntries`. Returns the two groups' entry indices, each in
-    * entry order after its seed.
+    * to reach `minEntries`. `node` builds each half from its MBR and its
+    * entry indices, in entry order after its seed.
     */
-  private def split(rects: IndexedSeq[Rect]): (Seq[Int], Seq[Int]) = {
+  private def split(rects: IndexedSeq[Rect])(node: (Rect, ArrayBuffer[Int]) => Node): (Node, Node) = {
     var (s1, s2) = (0, 1); var worst = -1.0
     for (i <- rects.indices; j <- (i + 1) until rects.length) {
       val waste = rects(i).union(rects(j)).area - rects(i).area - rects(j).area
@@ -141,28 +141,20 @@ final class RTree(maxEntries: Int = 16) {
         }
       if (toA) { a += i; ra = ra.union(rects(i)) } else { b += i; rb = rb.union(rects(i)) }
     }
-    (a.toSeq, b.toSeq)
+    (node(ra, a), node(rb, b))
   }
 
-  private def splitLeaf(l: Leaf): (Node, Node) = {
-    val rects = l.ids.indices.map(i => Rect.point(l.xs(i), l.ys(i)))
-    def leaf(group: Seq[Int]): Node = {
-      val t = new Leaf(group.map(rects).reduce(_ union _))
+  private def splitLeaf(l: Leaf): (Node, Node) =
+    split(l.ids.indices.map(i => Rect.point(l.xs(i), l.ys(i)))) { (mbr, group) =>
+      val t = new Leaf(mbr)
       group.foreach { i => t.ids += l.ids(i); t.xs += l.xs(i); t.ys += l.ys(i) }
       t
     }
-    val (a, b) = split(rects)
-    (leaf(a), leaf(b))
-  }
 
-  private def splitBranch(br: Branch): (Node, Node) = {
-    val rects = br.children.map(_.mbr).toIndexedSeq
-    def branch(group: Seq[Int]): Node = {
-      val t = new Branch(group.map(rects).reduce(_ union _))
+  private def splitBranch(br: Branch): (Node, Node) =
+    split(br.children.map(_.mbr).toIndexedSeq) { (mbr, group) =>
+      val t = new Branch(mbr)
       t.children ++= group.map(br.children)
       t
     }
-    val (a, b) = split(rects)
-    (branch(a), branch(b))
-  }
 }
