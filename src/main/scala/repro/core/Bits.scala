@@ -1,6 +1,6 @@
 package repro.core
 
-import scala.collection.mutable.ArrayBuffer
+import scala.collection.mutable.ArrayBuilder
 
 /** A compact immutable bit string over 64-bit words (paper §6.2–6.3).
   *
@@ -11,6 +11,9 @@ import scala.collection.mutable.ArrayBuffer
   *
   * The bitwise AND of member strings yields the co-cluster times of a whole
   * candidate object set: `B[O] = & B[o_x]` (§6.2 "Bit Operation").
+  *
+  * Every bit at or past `length` is 0; each constructor keeps it so, which
+  * lets equality compare words and the run scans stop at the last word.
   */
 final class Bits private (private val words: Array[Long], val length: Int) {
 
@@ -18,27 +21,8 @@ final class Bits private (private val words: Array[Long], val length: Int) {
   def apply(i: Int): Boolean =
     i >= 0 && i < length && ((words(i >> 6) >>> (i & 63)) & 1L) == 1L
 
-  /** Number of set bits. */
-  def cardinality: Int = words.map(java.lang.Long.bitCount).sum
-
   /** 0-based positions of the set bits, ascending. */
-  def onesPositions: Seq[Int] = {
-    val out = new ArrayBuffer[Int](cardinality)
-    var w = 0
-    while (w < words.length) {
-      var word = words(w)
-      while (word != 0L) {
-        val b = java.lang.Long.numberOfTrailingZeros(word)
-        out += (w << 6) + b
-        word &= word - 1
-      }
-      w += 1
-    }
-    out.toVector
-  }
-
-  /** Set-bit positions shifted by `offset` — the actual snapshot times. */
-  def times(offset: Int): Seq[Int] = onesPositions.map(_ + offset)
+  def onesPositions: Seq[Int] = (0 until length).filter(apply)
 
   /** Bitwise AND with another string of the same length and offset. */
   def and(other: Bits): Bits = {
@@ -49,11 +33,108 @@ final class Bits private (private val words: Array[Long], val length: Int) {
     new Bits(out, length)
   }
 
+  /** The `len` bits from position `from` on as a string of their own: bit j
+    * is bit `from + j` of this string, 0 where that lies outside
+    * [0, length). Whole words are shifted, and the last one is masked.
+    */
+  def slice(from: Int, len: Int): Bits = {
+    require(len >= 0, s"negative slice length $len")
+    val n = (len + 63) >> 6
+    val out = new Array[Long](n max 1)
+    val q = Math.floorDiv(from, 64)
+    val r = Math.floorMod(from, 64)
+    var i = 0
+    while (i < n) {
+      val lo = wordAt(q + i) >>> r
+      out(i) = if (r == 0) lo else lo | (wordAt(q + i + 1) << (64 - r))
+      i += 1
+    }
+    if ((len & 63) != 0) out(n - 1) &= (1L << (len & 63)) - 1
+    new Bits(out, len)
+  }
+
+  private def wordAt(k: Int): Long = if (k >= 0 && k < words.length) words(k) else 0L
+
+  /** First position at or after `from` (>= 0) whose bit equals `bit`, or
+    * `length` if there is none. Since the bits past `length` are 0, a search
+    * for a 0 from a set bit ends at `length` at the latest.
+    */
+  private def next(from: Int, bit: Boolean): Int = {
+    val flip = if (bit) 0L else -1L
+    var w = from >> 6
+    if (w >= words.length) return length
+    var word = (words(w) ^ flip) & (-1L << (from & 63))
+    while (word == 0L) {
+      w += 1
+      if (w == words.length) return length
+      word = words(w) ^ flip
+    }
+    (w << 6) + java.lang.Long.numberOfTrailingZeros(word)
+  }
+
+  /** Whether the string holds a (K,L,G)-valid sequence, by a scan over its
+    * runs of set bits: a run shorter than L is skipped, a kept run starting
+    * more than G after the current component's last time opens a new
+    * component, and the scan stops once a component holds K times.
+    */
+  private def hasValid(c: Constraints): Boolean = {
+    var ones = 0
+    var w = 0
+    while (w < words.length) { ones += java.lang.Long.bitCount(words(w)); w += 1 }
+    if (ones < c.k) return false
+    var count = 0 // times in the current component
+    var last = 0  // the current component's last time
+    var s = next(0, bit = true)
+    while (s < length) {
+      val e = next(s, bit = false) // the run [s, e)
+      if (e - s >= c.l) {
+        if (count > 0 && s - last > c.g) count = 0
+        count += e - s
+        if (count >= c.k) return true
+        last = e - 1
+      }
+      s = next(e, bit = true)
+    }
+    false
+  }
+
+  /** The components of `hasValid`'s scan that hold at least K times, each as
+    * its times shifted by `offset`; times are built for these only.
+    */
+  private def validComponents(c: Constraints, offset: Int): Seq[Seq[Int]] = {
+    val out = Vector.newBuilder[Seq[Int]]
+    val runs = new ArrayBuilder.ofInt // the current component's runs, start and end
+    var count = 0
+    var last = 0
+    def close(): Unit = {
+      if (count >= c.k) {
+        val rs = runs.result()
+        out += rs.grouped(2).flatMap(r => (r(0) until r(1)).map(_ + offset)).toVector
+      }
+      runs.clear()
+      count = 0
+    }
+    var s = next(0, bit = true)
+    while (s < length) {
+      val e = next(s, bit = false)
+      if (e - s >= c.l) {
+        if (count > 0 && s - last > c.g) close()
+        count += e - s
+        last = e - 1
+        runs += s
+        runs += e
+      }
+      s = next(e, bit = true)
+    }
+    close()
+    out.result()
+  }
+
   override def equals(o: Any): Boolean = o match {
-    case b: Bits => b.length == length && b.onesPositions == onesPositions
+    case b: Bits => b.length == length && java.util.Arrays.equals(b.words, words)
     case _       => false
   }
-  override def hashCode: Int = (length, onesPositions).hashCode
+  override def hashCode: Int = 31 * java.util.Arrays.hashCode(words) + length
   override def toString: String = (0 until length).map(i => if (apply(i)) '1' else '0').mkString
 }
 
@@ -78,15 +159,18 @@ object Bits {
   /** AND over a non-empty collection (B[O] of §6.2). */
   def andAll(bs: Iterable[Bits]): Bits = bs.reduce(_ and _)
 
-  /** Whether the string (anchored at `offset`) contains a (K,L,G)-valid
-    * time sequence — the validity test used by FBA/VBA enumeration.
+  /** Whether the string contains a (K,L,G)-valid time sequence — the
+    * validity test used by FBA/VBA enumeration. It agrees with
+    * `TimeSeq.maximalValid(b.onesPositions, c).nonEmpty`.
     */
-  def containsValid(b: Bits, c: Constraints): Boolean =
-    TimeSeq.containsValid(b.onesPositions, c)
+  def containsValid(b: Bits, c: Constraints): Boolean = b.hasValid(c)
 
-  /** Maximal valid time sequences encoded in the string, as snapshot times. */
+  /** Maximal valid time sequences encoded in the string, as snapshot times
+    * (bit j is time `offset + j`); equal to `TimeSeq.maximalValid` of those
+    * times.
+    */
   def maximalValid(b: Bits, offset: Int, c: Constraints): Seq[Seq[Int]] =
-    TimeSeq.maximalValid(b.times(offset), c)
+    b.validComponents(c, offset)
 }
 
 /** A variable-length bit string entry of VBA (Definition 14): trajectory
@@ -94,11 +178,9 @@ object Bits {
   */
 final case class VarBits(id: Long, st: Int, et: Int, bits: Bits) {
   require(et - st + 1 == bits.length, s"span [$st,$et] vs ${bits.length} bits")
-  def times: Seq[Int] = bits.times(st)
 
   /** The string cut to the span [from, to] and anchored at `from`, so that
     * it ANDs with any other string cut to the same span (Lemma 8).
     */
-  def cut(from: Int, to: Int): Bits =
-    Bits.fromPositions(to - from + 1, times.filter(t => t >= from && t <= to).map(_ - from))
+  def cut(from: Int, to: Int): Bits = bits.slice(from - st, to - from + 1)
 }

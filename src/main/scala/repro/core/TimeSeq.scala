@@ -61,13 +61,6 @@ object TimeSeq {
     comps.iterator.map(_.toVector).filter(_.length >= c.k).toVector
   }
 
-  /** Whether `times` contains at least one (K,L,G)-valid sub-sequence. This
-    * predicate is anti-monotone when intersecting time sets, which is what
-    * FBA/VBA's apriori-style candidate growth relies on.
-    */
-  def containsValid(times: Seq[Int], c: Constraints): Boolean =
-    maximalValid(times, c).nonEmpty
-
   private def requireIncreasing(times: Seq[Int]): Unit =
     require(times.isEmpty || times.lazyZip(times.drop(1)).forall { case (a, b) => a < b },
       s"time sequence must be strictly increasing: $times")

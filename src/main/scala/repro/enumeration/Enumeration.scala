@@ -61,7 +61,8 @@ object Enumeration {
   }
 
   /** Canonical de-duplicated result: one row per distinct object set, with
-    * the earliest emission time (sliding windows re-detect patterns).
+    * the earliest emission time (BA's sliding windows re-detect patterns, and
+    * FBA and VBA emit a set once per maximal sequence).
     */
   def distinctPatterns(emitted: Seq[Emitted]): Seq[Emitted] =
     emitted.groupBy(_.pattern.objects).toSeq

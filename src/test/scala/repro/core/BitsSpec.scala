@@ -24,11 +24,6 @@ class BitsSpec extends AnyFunSuite with PropSupport {
     val pos = Seq(0, 1, 63, 64, 65, 127, 128)
     val b = Bits.fromPositions(130, pos)
     assert(b.onesPositions == pos)
-    assert(b.cardinality == pos.length)
-  }
-
-  test("times applies the window offset") {
-    assert(Bits.parse("1011").times(3) == Seq(3, 5, 6))
   }
 
   test("fromPositions rejects out-of-range bits") {
@@ -86,7 +81,30 @@ class BitsSpec extends AnyFunSuite with PropSupport {
   test("VarBits validates span vs bits length") {
     intercept[IllegalArgumentException](VarBits(1L, 2, 8, Bits.parse("111")))
     val v = VarBits(5L, 2, 8, Bits.parse("1111111"))
-    assert(v.times == (2 to 8))
+    assert(v.cut(2, 8) == v.bits)
+    assert(v.cut(0, 4).toString == "00111")
+    assert(v.cut(6, 10).toString == "11100")
+  }
+
+  test("slice reads 0 outside the string and masks its last word") {
+    val b = Bits.fromPositions(130, Seq(0, 1, 63, 64, 65, 127, 128, 129))
+    assert(b.slice(-2, 5).toString == "00110")
+    assert(b.slice(62, 5).toString == "01110")
+    assert(b.slice(127, 6).toString == "111000")
+    assert(b.slice(1, 129) == Bits.fromPositions(129, Seq(0, 62, 63, 64, 126, 127, 128)))
+    assert(b.slice(0, 64) == Bits.fromPositions(64, Seq(0, 1, 63)))
+    assert(b.slice(200, 3) == Bits.fromPositions(3, Nil))
+    assert(b.slice(5, 0) == Bits.fromPositions(0, Nil))
+  }
+
+  test("maximalValid across a word edge: short runs dropped, split at a long gap") {
+    // Runs [60,66) and [67,71) form one component (67 - 65 <= G); the lone
+    // bit 75 is shorter than L; [130,135) starts more than G after 70.
+    val b = Bits.fromPositions(140, (60 until 66) ++ (67 until 71) ++ Seq(75) ++ (130 until 135))
+    val c = Constraints(2, 5, 2, 2)
+    assert(Bits.maximalValid(b, 1, c) == Seq((61 until 67) ++ (68 until 72), 131 until 136))
+    assert(Bits.containsValid(b, c))
+    assert(!Bits.containsValid(b, Constraints(2, 11, 2, 2)))
   }
 
   private val bitsGen: Gen[Bits] = for {
@@ -108,7 +126,42 @@ class BitsSpec extends AnyFunSuite with PropSupport {
     }
   }
 
-  test("property: cardinality equals onesPositions size") {
-    forAllG(bitsGen) { b => assert(b.cardinality == b.onesPositions.length) }
+  /** Strings of 1–200 bits made of alternating runs, short (1–4) or long
+    * (5–80), so that runs and gaps cross 64-bit word edges.
+    */
+  private val runBitsGen: Gen[Bits] = for {
+    len   <- Gen.choose(1, 200)
+    first <- Gen.oneOf(true, false)
+    runs  <- Gen.listOfN(len, Gen.frequency(3 -> Gen.choose(1, 4), 1 -> Gen.choose(5, 80)))
+  } yield {
+    val starts = runs.scanLeft(0)(_ + _)
+    val pos = starts.lazyZip(runs).zipWithIndex.flatMap { case ((s, n), i) =>
+      if ((i % 2 == 0) == first) s until s + n else Nil
+    }
+    Bits.fromPositions(len, pos.filter(_ < len))
+  }
+
+  private val cGen: Gen[Constraints] = for {
+    k <- Gen.choose(1, 60); l <- Gen.choose(1, math.min(k, 20)); g <- Gen.choose(1, 70)
+  } yield Constraints(2, k, l, g)
+
+  test("property: the run scan equals TimeSeq on the set positions") {
+    forAllG(Gen.zip(runBitsGen, cGen, Gen.choose(-100, 100)), 500) { case (b, c, offset) =>
+      val ts = b.onesPositions
+      assert(Bits.containsValid(b, c) == TimeSeq.maximalValid(ts, c).nonEmpty)
+      assert(Bits.maximalValid(b, offset, c) == TimeSeq.maximalValid(ts.map(_ + offset), c))
+    }
+  }
+
+  test("property: slice and VarBits.cut equal the positions filter") {
+    forAllG(Gen.zip(runBitsGen, Gen.choose(-80, 220), Gen.choose(0, 200), Gen.choose(-50, 50)), 500) {
+      case (b, from, len, st) =>
+        def filtered(lo: Int) =
+          Bits.fromPositions(len, b.onesPositions.map(_ - lo).filter(j => j >= 0 && j < len))
+        val s = b.slice(from, len)
+        assert(s == filtered(from) && s.hashCode == filtered(from).hashCode)
+        val v = VarBits(1L, st, st + b.length - 1, b)
+        assert(v.cut(st + from, st + from + len - 1) == filtered(from))
+    }
   }
 }

@@ -113,8 +113,8 @@ class TimeSeqSpec extends AnyFunSuite with PropSupport {
 
   test("containsValid consistent with maximalValid") {
     val c = Constraints(2, 4, 2, 2)
-    assert(TimeSeq.containsValid(Seq(3, 4, 6, 7, 8), c))
-    assert(!TimeSeq.containsValid(Seq(3, 4, 7, 8), c))
+    assert(Bits.containsValid(Bits.fromPositions(9, Seq(3, 4, 6, 7, 8)), c))
+    assert(!Bits.containsValid(Bits.fromPositions(9, Seq(3, 4, 7, 8)), c))
   }
 
   private val timesGen: Gen[Seq[Int]] =
@@ -141,9 +141,9 @@ class TimeSeqSpec extends AnyFunSuite with PropSupport {
   test("property: validity is anti-monotone under intersection") {
     // If no valid subsequence exists in ts, none exists in any subset.
     forAllG2(timesGen, cGen) { (ts, c) =>
-      if (!TimeSeq.containsValid(ts, c)) {
+      if (!Bits.containsValid(Bits.fromPositions(40, ts), c)) {
         val sub = ts.zipWithIndex.collect { case (t, i) if i % 2 == 0 => t }
-        assert(!TimeSeq.containsValid(sub, c))
+        assert(!Bits.containsValid(Bits.fromPositions(40, sub), c))
       }
     }
   }

@@ -19,6 +19,21 @@ class FbaVbaUnitSpec extends AnyFunSuite {
     assert(Reference.distinctObjectSets(got.map(_.pattern)) == Set(Seq(1L, 9L)))
   }
 
+  test("FBA: a companion persisting 8 snapshots is emitted once, at the first window's end") {
+    val p = parts((1 to 8).map(t => t -> Set(9L)): _*)
+    assert(FBA.detect(1L, p, c) == Seq(Emitted(Pattern(Seq(1L, 9L), 1 to 6), 6)))
+  }
+
+  test("FBA: a set that separates for more than G snapshots and re-forms emits two rows") {
+    // Apart at 7-9 (3 > G = 2 snapshots): two maximal sequences, two rows.
+    val apart = parts(((1 to 6) ++ (10 to 15)).map(t => t -> Set(9L)): _*)
+    assert(FBA.detect(1L, apart, c) ==
+      Seq(Emitted(Pattern(Seq(1L, 9L), 1 to 6), 6), Emitted(Pattern(Seq(1L, 9L), 10 to 15), 15)))
+    // Apart at 7 only: 8 - 6 <= G, one maximal sequence, one row.
+    val rejoined = parts(((1 to 6) ++ (8 to 13)).map(t => t -> Set(9L)): _*)
+    assert(FBA.detect(1L, rejoined, c).map(_.emitTime) == Seq(6))
+  }
+
   test("FBA: non-candidate members never appear in patterns") {
     val p = parts(
       1 -> Set(2L, 3L), 2 -> Set(2L, 3L), 3 -> Set(2L), 4 -> Set(2L),
