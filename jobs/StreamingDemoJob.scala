@@ -1,5 +1,6 @@
 package repro.jobs
 
+import org.apache.spark.sql.SparkSession
 import org.apache.spark.sql.execution.streaming.runtime.MemoryStream
 import repro.bench.Params
 import repro.core.{ClusterParams, Gps, SnapshotRow}
@@ -14,11 +15,14 @@ import repro.traj.StreamGen
   */
 object StreamingDemoJob {
   def main(args: Array[String]): Unit = {
-    val spark = JobSession.create("streaming-demo")
+    val spark = SparkSession.builder
+      .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
+      .appName("streaming-demo")
+      .getOrCreate()
     import spark.implicits._
     try {
       val cfg = Params.geolife.copy(nObjects = 200, nSnapshots = 80)
-      val rows = StreamGen.generate(spark, cfg).collect().sortBy(r => (r.time, r.id))
+      val rows = StreamGen.generate(cfg)
       val icpe = new StreamingICPE(spark,
         Params.clusterParams(cfg.world), Params.defaultConstraints)
 

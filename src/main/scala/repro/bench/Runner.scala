@@ -5,25 +5,8 @@ import repro.core._
 import repro.enumeration._
 import repro.cluster.{GDC, SRJ}
 import java.io.{File, PrintWriter}
+import scala.collection.immutable.ListMap
 import scala.collection.mutable.ArrayBuffer
-
-/** Pluggable range-join strategies for the clustering benchmarks (Fig 10/11). */
-sealed trait JoinMethod {
-  def name: String
-  def join(snaps: Dataset[SnapshotRow], p: ClusterParams): Dataset[NeighborPair]
-}
-case object RjcJoin extends JoinMethod {
-  val name = "RJC"
-  def join(s: Dataset[SnapshotRow], p: ClusterParams) = RangeJoin.rjc(s, p.eps, p.lg)
-}
-case object SrjJoin extends JoinMethod {
-  val name = "SRJ"
-  def join(s: Dataset[SnapshotRow], p: ClusterParams) = SRJ.join(s, p.eps, p.lg)
-}
-case object GdcJoin extends JoinMethod {
-  val name = "GDC"
-  def join(s: Dataset[SnapshotRow], p: ClusterParams) = GDC.join(s, p.eps)
-}
 
 /** Metrics of one benchmark run (one parameter point, one method). */
 final case class RunMetrics(
@@ -68,9 +51,15 @@ object Runner {
     (runs.head._1, walls((walls.length - 1) / 2))
   }
 
-  /** Materialize a snapshot stream locally (driver-side "source buffer"). */
-  def collectStream(data: Dataset[SnapshotRow]): Array[SnapshotRow] =
-    data.collect().sortBy(r => (r.time, r.id))
+  /** The range joins that Figs 10/11 compare, by name, in measuring order. */
+  val joins: ListMap[String, (Dataset[SnapshotRow], ClusterParams) => Dataset[NeighborPair]] =
+    ListMap(
+      "SRJ" -> ((s, p) => SRJ.join(s, p.eps, p.lg)),
+      "GDC" -> ((s, p) => GDC.join(s, p.eps)),
+      "RJC" -> ((s, p) => RangeJoin.rjc(s, p.eps, p.lg)))
+
+  /** Number of distinct snapshots in `rows`. */
+  def snapshots(rows: Array[SnapshotRow]): Int = rows.map(_.time).distinct.length
 
   private def batches(rows: Array[SnapshotRow]): Seq[Array[SnapshotRow]] = {
     val times = rows.map(_.time).distinct.sorted
@@ -80,24 +69,22 @@ object Runner {
     }.toSeq
   }
 
-  /** Timed clustering (range join + DBSCAN) over the whole stream in
-    * micro-batches. Returns (clusterRows, wallMs, nSnapshots).
+  /** Timed clustering (range join `join` + DBSCAN) over the whole stream in
+    * micro-batches. Returns (clusterRows, wallMs).
     */
   def runClustering(spark: SparkSession, rows: Array[SnapshotRow], p: ClusterParams,
-                    method: JoinMethod, slots: Option[Int] = None)
-      : (Seq[ClusterRow], Double, Int) = {
+                    join: String, slots: Option[Int] = None): (Seq[ClusterRow], Double) = {
     import spark.implicits._
-    val nSnapshots = rows.map(_.time).distinct.length
     val all = ArrayBuffer.empty[ClusterRow]
     onSlots(spark, slots) {
       val t0 = nowMs()
       for (b <- batches(rows)) {
         val ds = spread(spark.createDataset(b.toIndexedSeq), slots)
-        val clusters = Dbscan.cluster(ds, method.join(ds, p), p.minPts)
+        val clusters = Dbscan.cluster(ds, joins(join)(ds, p), p.minPts)
         all ++= clusters.collect()
       }
       val wall = nowMs() - t0
-      (all.toSeq, wall, nSnapshots)
+      (all.toSeq, wall)
     }
   }
 
@@ -152,22 +139,6 @@ object Runner {
     times.last
   }
 
-  /** Median-of-reps variants for measured points. */
-  def clusteringMedian(spark: SparkSession, rows: Array[SnapshotRow], p: ClusterParams,
-                       method: JoinMethod, slots: Option[Int] = None)
-      : (Seq[ClusterRow], Double, Int) = {
-    val ((clusters, n), wall) = median(reps) {
-      val (cl, w, nn) = runClustering(spark, rows, p, method, slots)
-      ((cl, nn), w)
-    }
-    (clusters, wall, n)
-  }
-
-  def enumerationMedian(spark: SparkSession, clusters: Seq[ClusterRow], c: Constraints,
-                        method: EnumMethod, slots: Option[Int] = None)
-      : (Seq[Emitted], Double) =
-    median(reps)(runEnumeration(spark, clusters, c, method, slots))
-
   /** Metrics from one clustering + one enumeration measurement over `n`
     * snapshots.
     */
@@ -188,8 +159,11 @@ object Runner {
 
   private val resultsDir = new File(sys.env.getOrElse("BENCH_RESULTS_DIR", "bench_results"))
 
-  /** Print a table to stdout and mirror it to bench_results/<name>.tsv. */
-  def emitTable(name: String, header: Seq[String], tableRows: Seq[Seq[String]]): Unit = {
+  /** Print a table to stdout, mirror it to bench_results/<name>.tsv and
+    * return its rows.
+    */
+  def emitTable(name: String, header: Seq[String],
+                tableRows: Seq[Seq[String]]): Seq[Seq[String]] = {
     val widths = (header +: tableRows).transpose.map(col => col.map(_.length).max)
     def fmt(r: Seq[String]) =
       r.lazyZip(widths).map((cell, w) => cell.padTo(w, ' ')).mkString("| ", " | ", " |")
@@ -202,6 +176,7 @@ object Runner {
       pw.println(header.mkString("\t"))
       tableRows.foreach(r => pw.println(r.mkString("\t")))
     } finally pw.close()
+    tableRows
   }
 
   def f1(v: Double): String = f"$v%.1f"

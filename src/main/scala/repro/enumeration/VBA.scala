@@ -13,21 +13,14 @@ final case class Emitted(pattern: Pattern, emitTime: Int)
   * length bit strings and the global candidate list C of Algorithm 5.
   */
 final class VbaState(val anchor: Long) {
-  /** H: trajectory id -> open entry (its co-cluster times so far). */
-  val open = mutable.LinkedHashMap.empty[Long, VbaState.OpenEntry]
+  /** H: trajectory id -> open entry ⟨st, et, B⟩, stored as its set bits:
+    * the co-cluster times from the start `st` (the head) on.
+    */
+  val open = mutable.LinkedHashMap.empty[Long, ArrayBuffer[Int]]
   /** C: finalized maximal pattern time sequences (Lemma 7 components). */
   val cands = ArrayBuffer.empty[VarBits]
   /** Last processed snapshot time; Int.MinValue before the first one. */
   var lastTime: Int = Int.MinValue
-}
-
-object VbaState {
-  /** An open entry ⟨st, et, B⟩ stored as its set bits: the co-cluster times
-    * from the start `st` on.
-    */
-  final class OpenEntry(val st: Int) {
-    val times = ArrayBuffer(st)
-  }
 }
 
 /** **VBA** — Variable Length Bit Compression based Algorithm (paper §6.3,
@@ -71,16 +64,16 @@ object VBA {
     evict(state, t, c)
     val completed = ArrayBuffer.empty[VarBits] // Cl, the local candidate list
     // Update open entries (Alg 5, lines 2-12).
-    for ((oi, e) <- state.open.toVector) {
-      if (members.contains(oi)) e.times += t
-      else if (t - e.times.last == c.g + 1) { // Lemma 7: G+1 zeros, no extension
+    for ((oi, times) <- state.open.toVector) {
+      if (members.contains(oi)) times += t
+      else if (t - times.last == c.g + 1) { // Lemma 7: G+1 zeros, no extension
         state.open.remove(oi)
-        completed ++= finalizeEntry(oi, e, c) // tag=1 components; tag=-1 drops
+        completed ++= finalizeEntry(oi, times, c) // tag=1 components; tag=-1 drops
       }
     }
     // Open new entries for first-time co-occurrences (Alg 5, lines 13-14).
     for (oi <- members.toVector.sorted if !state.open.contains(oi))
-      state.open(oi) = new VbaState.OpenEntry(t)
+      state.open(oi) = ArrayBuffer(t)
     // Enumerate patterns for each completed candidate (Alg 5, lines 15-20).
     // Each candidate is added to C before the next is processed so that two
     // sequences finalizing at the same snapshot can still pair up.
@@ -99,7 +92,7 @@ object VBA {
     * visible until the next one.
     */
   private def evict(state: VbaState, t: Int, c: Constraints): Unit = {
-    val s = state.open.valuesIterator.foldLeft(t)((m, e) => math.min(m, e.st))
+    val s = state.open.valuesIterator.foldLeft(t)((m, times) => math.min(m, times.head))
     state.cands.filterInPlace(v => v.et - s + 1 >= c.k)
   }
 
@@ -108,8 +101,8 @@ object VBA {
     * pattern sequence involving this trajectory lies pointwise inside one
     * component (see TimeSeq.maximalValid).
     */
-  private def finalizeEntry(oi: Long, e: VbaState.OpenEntry, c: Constraints): Seq[VarBits] =
-    TimeSeq.maximalValid(e.times.toVector, c).map { comp =>
+  private def finalizeEntry(oi: Long, times: ArrayBuffer[Int], c: Constraints): Seq[VarBits] =
+    TimeSeq.maximalValid(times.toVector, c).map { comp =>
       VarBits(oi, comp.head, comp.last,
         Bits.fromPositions(comp.last - comp.head + 1, comp.map(_ - comp.head)))
     }

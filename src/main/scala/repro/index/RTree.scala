@@ -42,18 +42,15 @@ final class RTree(maxEntries: Int = 16) {
 
   private sealed trait Node {
     var mbr: Rect
-    def isLeaf: Boolean
   }
   private final class Leaf(var mbr: Rect) extends Node {
     val ids = new ArrayBuffer[Long](maxEntries + 1)
     val xs  = new ArrayBuffer[Double](maxEntries + 1)
     val ys  = new ArrayBuffer[Double](maxEntries + 1)
-    def isLeaf = true
     def size: Int = ids.length
   }
   private final class Branch(var mbr: Rect) extends Node {
     val children = new ArrayBuffer[Node](maxEntries + 1)
-    def isLeaf = false
   }
 
   private var root: Node = new Leaf(Rect(0, 0, -1, -1)) // empty MBR sentinel

@@ -1,6 +1,5 @@
 package repro.traj
 
-import org.apache.spark.sql.{Dataset, SparkSession}
 import repro.core.SnapshotRow
 import scala.collection.mutable.ArrayBuffer
 import scala.util.Random
@@ -25,7 +24,7 @@ trait StreamConfig {
   *
   * Everything is deterministic in (config, seed): each object derives its
   * own RNG from the seed and its id, each leader from the seed and the
-  * group id, so distributed generation is reproducible.
+  * group id, so any object can be generated alone.
   */
 object StreamGen {
 
@@ -108,9 +107,8 @@ object StreamGen {
     rows.toSeq
   }
 
-  /** The distributed generator: one task per object-range, deterministic. */
-  def generate(spark: SparkSession, cfg: StreamConfig): Dataset[SnapshotRow] = {
-    import spark.implicits._
-    spark.range(cfg.nObjects).flatMap(id => cfg.genObject(id))
-  }
+  /** The whole stream of `cfg`, sorted by (time, id). */
+  def generate(cfg: StreamConfig): Array[SnapshotRow] =
+    (0L until cfg.nObjects.toLong).iterator.flatMap(cfg.genObject).toArray
+      .sortBy(r => (r.time, r.id))
 }

@@ -1,13 +1,15 @@
 package repro.bench
 
-import org.scalatest.funsuite.AnyFunSuite
-import repro.core.{ClusterRow, Constraints, Pattern}
+import repro.SparkSpec
+import repro.core.{ClusterParams, ClusterRow, Constraints, Pattern, Reference}
 import repro.enumeration.Emitted
+import repro.traj.{StreamGen, TrajConfig}
 
-/** Unit tests for the benchmark harness math (metrics, emission delay,
-  * median-of-reps) — the numbers EXPERIMENTS.md is built from.
+/** Unit tests for the benchmark harness (micro-batched clustering, metrics,
+  * emission delay, median-of-reps) — the numbers EXPERIMENTS.md is built
+  * from.
   */
-class RunnerSpec extends AnyFunSuite {
+class RunnerSpec extends SparkSpec {
 
   private val c = Constraints(2, 4, 2, 2)
 
@@ -62,6 +64,21 @@ class RunnerSpec extends AnyFunSuite {
     assert(m.latencyMs == 15.0 * 5)
     assert(m.throughputTps == 1000.0 / 15.0)
     assert(Runner.avgClusterSize(cl) == 3.0 && m.nPatterns == 1)
+  }
+
+  test("runClustering's micro-batches equal Reference.dbscan for every join") {
+    val rows = StreamGen.generate(TrajConfig(nObjects = 40, nSnapshots = 120, world = 600.0,
+      nGroups = 4, groupSizeMin = 3, groupSizeMax = 4, nHubs = 3, hubSigma = 8,
+      speed = 2.0, dropout = 0.02, seed = 5L))
+    assert(Runner.snapshots(rows) > 2 * Runner.batchSnapshots) // at least 3 micro-batches
+    val p = ClusterParams(eps = 4.0, minPts = 3, lg = 30.0)
+    val expected = Reference.dbscan(rows.toSeq, p.eps, p.minPts)
+    // Non-vacuous: clusters form in the last micro-batch too.
+    assert(expected.exists(_.time >= 2 * Runner.batchSnapshots))
+    for (join <- Runner.joins.keys) {
+      val (clusters, _) = Runner.runClustering(spark, rows, p, join)
+      assert(clusters.sortBy(r => (r.time, r.clusterId)) == expected, join)
+    }
   }
 
   test("constraints sweep ranges preserve the paper's Table 3 spread") {

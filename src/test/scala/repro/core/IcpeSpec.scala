@@ -77,7 +77,7 @@ class IcpeSpec extends SparkSpec {
     val cfg = repro.traj.TrajConfig(nObjects = 60, nSnapshots = 40, world = 600.0,
       nGroups = 4, groupSizeMin = 3, groupSizeMax = 4, nHubs = 3, hubSigma = 8,
       speed = 2.0, dropout = 0.02, seed = 5L)
-    val rows = repro.traj.StreamGen.generate(spark, cfg).collect().toSeq
+    val rows = repro.traj.StreamGen.generate(cfg).toSeq
     val p = ClusterParams(eps = 4.0, minPts = 3, lg = 30.0)
     val c = Constraints(3, 6, 2, 2)
 

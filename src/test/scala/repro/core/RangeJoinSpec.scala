@@ -161,9 +161,9 @@ class RangeJoinSpec extends SparkSpec with PropSupport {
 
   /** A small generated trajectory stream for the oracle's own checks. */
   private lazy val trajRows: Seq[SnapshotRow] =
-    StreamGen.generate(spark, TrajConfig(nObjects = 60, nSnapshots = 8, world = 2000.0,
+    StreamGen.generate(TrajConfig(nObjects = 60, nSnapshots = 8, world = 2000.0,
       nGroups = 4, groupSizeMin = 4, groupSizeMax = 6, nHubs = 3, hubSigma = 10,
-      speed = 2.0, dropout = 0.05, seed = 11L)).collect().toSeq
+      speed = 2.0, dropout = 0.05, seed = 11L)).toSeq
 
   /** Negative control: the oracle throws on a range join with a pair dropped,
     * a pair added or a column misnamed.

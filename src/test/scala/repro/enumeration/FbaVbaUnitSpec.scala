@@ -90,7 +90,7 @@ class FbaVbaUnitSpec extends AnyFunSuite {
     (6 to 8).foreach(t => VBA.onSnapshot(st, t, Set.empty, c))
     assert(st.cands.map(v => (v.id, v.st, v.et)) == Seq((2L, 1, 5)))
     VBA.onSnapshot(st, 9, Set(2L), c)
-    assert(st.open(2L).st == 9)
+    assert(st.open(2L).head == 9)
     // Nothing open starts before 9, so <1,5> can never again share K = 4
     // snapshots with a new candidate (Lemma 8): evicted.
     assert(st.cands.isEmpty)

@@ -1,31 +1,31 @@
 package repro.traj
 
-import repro.SparkSpec
+import org.scalatest.funsuite.AnyFunSuite
 import repro.bench.Params
 
 /** Network-based generator sanity: determinism, on-network positions,
   * speed bounds, planted groups.
   */
-class BrinkhoffSpec extends SparkSpec {
+class BrinkhoffSpec extends AnyFunSuite {
 
   private val cfg = BrinkhoffConfig(nObjects = 80, nSnapshots = 40, nodes = 10,
     edge = 100.0, nGroups = 4, seed = 3L)
 
   test("generation is deterministic") {
-    val a = StreamGen.generate(spark, cfg).collect().sortBy(r => (r.time, r.id))
-    val b = StreamGen.generate(spark, cfg).collect().sortBy(r => (r.time, r.id))
+    val a = StreamGen.generate(cfg)
+    val b = StreamGen.generate(cfg)
     assert(a.toSeq == b.toSeq)
   }
 
   test("world extent follows the lattice") {
     assert(cfg.world == 1000.0)
-    val rows = StreamGen.generate(spark, cfg).collect().toSeq
+    val rows = StreamGen.generate(cfg).toSeq
     assert(rows.forall(r => r.x >= -cfg.edge && r.x <= cfg.world + cfg.edge &&
                             r.y >= -cfg.edge && r.y <= cfg.world + cfg.edge))
   }
 
   test("non-group objects move along lattice edges (one axis-aligned coordinate)") {
-    val free = StreamGen.generate(spark, cfg).collect().toSeq
+    val free = StreamGen.generate(cfg).toSeq
       .filter(r => StreamGen.groupOf(cfg, r.id).isEmpty)
     free.foreach { r =>
       val onX = math.abs(r.x / cfg.edge - math.round(r.x / cfg.edge)) < 1e-6
@@ -35,7 +35,7 @@ class BrinkhoffSpec extends SparkSpec {
   }
 
   test("per-step displacement is bounded by the maximum speed") {
-    val rows = StreamGen.generate(spark, cfg).collect().toSeq
+    val rows = StreamGen.generate(cfg).toSeq
       .filter(r => StreamGen.groupOf(cfg, r.id).isEmpty)
     rows.groupBy(_.id).foreach { case (_, rs) =>
       rs.sortBy(_.time).sliding(2).foreach {
@@ -51,7 +51,7 @@ class BrinkhoffSpec extends SparkSpec {
     // With episodes mostly on, group members must be mutually near for most
     // of the stream: check that a substantial fraction of snapshots has the
     // whole first group within a tight box.
-    val rows = StreamGen.generate(spark, cfg).collect().toSeq
+    val rows = StreamGen.generate(cfg).toSeq
     val g0 = (0L until StreamGen.groupSizes(cfg)(0).toLong)
     val box = 4 * StreamGen.GroupJitter
     val together = (0 until cfg.nSnapshots).count { t =>

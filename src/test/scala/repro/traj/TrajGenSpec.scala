@@ -16,19 +16,19 @@ class TrajGenSpec extends SparkSpec {
     speed = 2.0, dropout = 0.05, seed = 11L)
 
   test("generation is deterministic in (config, seed)") {
-    val a = StreamGen.generate(spark, cfg).collect().sortBy(r => (r.time, r.id))
-    val b = StreamGen.generate(spark, cfg).collect().sortBy(r => (r.time, r.id))
+    val a = StreamGen.generate(cfg)
+    val b = StreamGen.generate(cfg)
     assert(a.toSeq == b.toSeq)
   }
 
   test("different seeds give different data") {
-    val a = StreamGen.generate(spark, cfg).collect().toSeq
-    val b = StreamGen.generate(spark, cfg.copy(seed = 12L)).collect().toSeq
+    val a = StreamGen.generate(cfg).toSeq
+    val b = StreamGen.generate(cfg.copy(seed = 12L)).toSeq
     assert(a != b)
   }
 
   test("row counts: every object reports almost every snapshot") {
-    val rows = StreamGen.generate(spark, cfg).collect().toSeq
+    val rows = StreamGen.generate(cfg).toSeq
     val expected = cfg.nObjects.toLong * cfg.nSnapshots
     assert(rows.length > expected * (1 - 3 * cfg.dropout))
     assert(rows.length <= expected)
@@ -37,7 +37,7 @@ class TrajGenSpec extends SparkSpec {
   }
 
   test("positions stay within a sane envelope of the world") {
-    val rows = StreamGen.generate(spark, cfg).collect().toSeq
+    val rows = StreamGen.generate(cfg).toSeq
     assert(rows.forall(r => r.x > -cfg.world && r.x < 2 * cfg.world &&
                             r.y > -cfg.world && r.y < 2 * cfg.world))
   }
@@ -59,7 +59,7 @@ class TrajGenSpec extends SparkSpec {
   }
 
   test("group members co-locate during on-episodes (clusters form)") {
-    val rows = StreamGen.generate(spark, cfg).collect().toSeq
+    val rows = StreamGen.generate(cfg).toSeq
     val eps = 4.0
     val clusters = Reference.dbscan(rows.filter(_.time < 10), eps, 3)
     assert(clusters.nonEmpty, "expected planted groups to form clusters")
@@ -69,7 +69,7 @@ class TrajGenSpec extends SparkSpec {
     val small = TrajConfig(nObjects = 100, nSnapshots = 60, world = 2000.0,
       nGroups = 6, groupSizeMin = 4, groupSizeMax = 7, nHubs = 4, hubSigma = 10,
       speed = 2.0, dropout = 0.03, seed = 21L)
-    val ds = StreamGen.generate(spark, small)
+    val ds = spark.createDataset(StreamGen.generate(small).toSeq)
     val p = ClusterParams(eps = 2000.0 * 0.002, minPts = 3, lg = 2000.0 * 0.02)
     val clusters = ICPE.clusterSnapshots(ds, p).collect().toSeq
     val pats = Reference.patterns(clusters, Constraints(3, 8, 2, 2))
