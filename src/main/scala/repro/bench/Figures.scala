@@ -145,9 +145,9 @@ object Figures {
       for (m <- Seq[EnumMethod](BaselineMethod, FbaMethod, VbaMethod)) {
         // The paper's B cannot run once 2^|P_t(o)| explodes (Fig 12 shows B
         // only for Or <= 60%). B is skipped here once some partition could
-        // hold more than 14 objects (largest cluster minus its anchor),
-        // below the 22 objects at which BA.detect itself gives up.
-        out += (if (m == BaselineMethod && maxPart > 14)
+        // hold more than BA.MaxPartitionSize objects (largest cluster minus
+        // its anchor), the size at which BA.detect itself gives up.
+        out += (if (m == BaselineMethod && maxPart > BA.MaxPartitionSize)
           key ++ Seq(m.name, "n/a (2^n blow-up)", "n/a", avgSize, "-")
         else detectionRow(spark, key, clusters, clusterMs, n, c, m, extra = Seq(avgSize)))
       }

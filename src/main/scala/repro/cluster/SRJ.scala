@@ -2,7 +2,7 @@ package repro.cluster
 
 import org.apache.spark.sql.Dataset
 import repro.core.{GridObject, NeighborPair, RangeJoin, SnapshotRow}
-import repro.index.{Grid, RTree, Rect}
+import repro.index.{Grid, RTree}
 
 /** Clustering baseline **SRJ** — the streaming range join of Zhang et al.
   * [36] (Storm), extended with DBSCAN like RJC (paper §7, "Comparison
@@ -17,25 +17,21 @@ import repro.index.{Grid, RTree, Rect}
   *    query-while-building).
   * Both data-data pairs and cross-cell pairs are therefore found twice and
   * must be de-duplicated in the sync step — the redundancy RJC removes.
-  * Region edges are decided as in RJC: replication and R-tree bounds are
-  * widened by `Grid.slack` and each hit passes the exact neighbour test.
+  * Region edges are decided as in RJC: replication and R-tree probe use the
+  * one widened `Grid.fullRegion`, and each hit passes the exact neighbour
+  * test.
   */
 object SRJ {
 
-  def allocate(p: SnapshotRow, eps: Double, lg: Double): Iterator[GridObject] = {
-    val home = Grid.key(p.x, p.y, lg)
-    val data = GridObject(p.time, home, isQuery = false, p.id, p.x, p.y)
-    val queries = Grid.fullQueryKeys(p.x, p.y, lg, eps)
-      .iterator.map(k => GridObject(p.time, k, isQuery = true, p.id, p.x, p.y))
-    Iterator.single(data) ++ queries
-  }
+  def allocate(p: SnapshotRow, eps: Double, lg: Double): Iterator[GridObject] =
+    RangeJoin.allocate(p, lg, Grid.fullRegion(p.x, p.y, eps))
 
   def gridQuery(objects: Iterator[GridObject], eps: Double): Iterator[NeighborPair] =
     RangeJoin.scanCell(objects) { (data, queries, emit) =>
       val rt = new RTree() // payload: the data object's index in `data`
       data.indices.foreach(i => rt.insert(i, data(i).x, data(i).y))
       (data.iterator ++ queries.iterator).foreach { o =>
-        rt.query(Rect.range(o.x, o.y, eps + Grid.slack(o.x, o.y, eps))).foreach { j =>
+        rt.query(Grid.fullRegion(o.x, o.y, eps)).foreach { j =>
           val v = data(j.toInt)
           if (v.id != o.id && RangeJoin.within(o, v, eps)) emit(o.id, v.id)
         }

@@ -33,10 +33,17 @@ object ICPE {
     Dbscan.clusterLocal(time, rows.map(_.id), pairs, p.minPts)
   }
 
-  /** Phase 2 — pattern enumeration over cluster snapshots. */
+  /** Phase 2 — pattern enumeration: id-based partitions (§6.1) of the
+    * cluster snapshots, shuffled to their anchor's subtask.
+    */
   def detectPatterns(clusters: Dataset[ClusterRow], c: Constraints,
-                     method: EnumMethod = FbaMethod): Dataset[Emitted] =
-    Enumeration.detect(IdPartitioner.partitions(clusters, c.m), c, method)
+                     method: EnumMethod = FbaMethod): Dataset[Emitted] = {
+    val spark = clusters.sparkSession
+    import spark.implicits._
+    clusters.flatMap(IdPartitioner.partitionsLocal(_, c.m))
+      .groupByKey(_.anchor)
+      .flatMapGroups((anchor, rows) => Enumeration.detectLocal(anchor, rows, c, method).iterator)
+  }
 
   /** Full pipeline for a (finite prefix of a) snapshot stream. */
   def run(snapshots: Dataset[SnapshotRow], p: ClusterParams, c: Constraints,

@@ -25,10 +25,16 @@ object RangeJoin {
     * the home cell plus query objects for every other cell intersecting the
     * upper half of the range region (Lemma 1).
     */
-  def gridAllocate(p: SnapshotRow, eps: Double, lg: Double): Iterator[GridObject] = {
+  def gridAllocate(p: SnapshotRow, eps: Double, lg: Double): Iterator[GridObject] =
+    allocate(p, lg, Grid.upperRegion(p.x, p.y, eps))
+
+  /** One data object for the home cell plus one query object for every
+    * other cell `region` intersects. Shared by RJC and the SRJ baseline.
+    */
+  private[repro] def allocate(p: SnapshotRow, lg: Double, region: Rect): Iterator[GridObject] = {
     val home = Grid.key(p.x, p.y, lg)
     val data = GridObject(p.time, home, isQuery = false, p.id, p.x, p.y)
-    val queries = Grid.lemma1QueryKeys(p.x, p.y, lg, eps)
+    val queries = Grid.cellsIn(region, lg, home)
       .iterator.map(k => GridObject(p.time, k, isQuery = true, p.id, p.x, p.y))
     Iterator.single(data) ++ queries
   }
@@ -43,8 +49,9 @@ object RangeJoin {
     * or at the same y with a larger id. Two locations with equal y in
     * horizontally adjacent cells probe each other's cell; the id tie-break
     * keeps exactly one of the two reports, so every pair of the snapshot is
-    * emitted exactly once across all cells. R-tree regions are widened by
-    * `Grid.slack` and each hit is checked with the exact `|Δ| <= eps` test.
+    * emitted exactly once across all cells. The probe regions are the
+    * widened `Grid` regions GridAllocate replicates by, and each hit is
+    * checked with the exact `|Δ| <= eps` test.
     * Pairs are emitted canonicalized (small id first).
     */
   def gridQuery(objects: Iterator[GridObject], eps: Double): Iterator[NeighborPair] =
@@ -52,14 +59,14 @@ object RangeJoin {
       val rt = new RTree() // payload: the data object's index in `data`
       data.indices.foreach { i =>
         val o = data(i)
-        rt.query(Rect.range(o.x, o.y, eps + Grid.slack(o.x, o.y, eps))).foreach { j =>
+        rt.query(Grid.fullRegion(o.x, o.y, eps)).foreach { j =>
           val v = data(j.toInt)
           if (v.id != o.id && within(o, v, eps)) emit(o.id, v.id)
         }
         rt.insert(i, o.x, o.y)
       }
       queries.foreach { q =>
-        rt.query(Rect.upperRange(q.x, q.y, eps + Grid.slack(q.x, q.y, eps))).foreach { j =>
+        rt.query(Grid.upperRegion(q.x, q.y, eps)).foreach { j =>
           val d = data(j.toInt)
           if (d.id != q.id && (d.y > q.y || d.id > q.id) && within(q, d, eps)) emit(q.id, d.id)
         }

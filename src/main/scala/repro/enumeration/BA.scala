@@ -4,10 +4,10 @@ import repro.core.{Constraints, Pattern, TimeSeq}
 import scala.collection.immutable.TreeMap
 import scala.collection.mutable.ArrayBuffer
 
-/** Thrown when Baseline enumeration meets a partition of more than 22
-  * objects — models the paper's observation that "for a large |P_t(o)|,
-  * Baseline cannot run due to the storage cost" (Fig. 12: B only completes
-  * for Or <= 60%).
+/** Thrown when Baseline enumeration meets a partition of more than
+  * `BA.MaxPartitionSize` (14) objects — models the paper's observation that
+  * "for a large |P_t(o)|, Baseline cannot run due to the storage cost"
+  * (Fig. 12: B only completes for Or <= 60%).
   */
 final class BaselineBlowupException(partitionSize: Int)
   extends RuntimeException(s"Baseline cannot enumerate 2^$partitionSize subsets")
@@ -32,8 +32,8 @@ final class BaselineBlowupException(partitionSize: Int)
   */
 object BA {
 
-  /** Largest partition whose 2^n subsets Baseline materializes. */
-  private val MaxPartitionSize = 22
+  /** Largest partition whose 2^n subsets Baseline materializes (and Fig 12 runs B on). */
+  private[repro] val MaxPartitionSize = 14
 
   def detect(anchor: Long, parts: TreeMap[Int, Set[Long]], c: Constraints): Seq[Emitted] = {
     val out = ArrayBuffer.empty[Emitted]

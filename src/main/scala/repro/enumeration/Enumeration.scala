@@ -1,6 +1,5 @@
 package repro.enumeration
 
-import org.apache.spark.sql.Dataset
 import repro.core.{Bits, Constraints, PartitionRow}
 import scala.collection.immutable.TreeMap
 
@@ -10,10 +9,10 @@ case object BaselineMethod extends EnumMethod { val name = "BA" }
 case object FbaMethod      extends EnumMethod { val name = "FBA" }
 case object VbaMethod      extends EnumMethod { val name = "VBA" }
 
-/** Distributed pattern enumeration: partitions are shuffled to their anchor's
-  * subtask (`groupByKey(_.anchor)` — the Spark analogue of Flink's keyBy on
-  * the trajectory id, §6.1) and each subtask runs the chosen detector over
-  * its time-ordered partition stream.
+/** Pattern enumeration per subtask (§6.1): `ICPE.detectPatterns` shuffles
+  * partitions to their anchor's subtask (`groupByKey(_.anchor)` — the Spark
+  * analogue of Flink's keyBy on the trajectory id) and each subtask runs the
+  * chosen detector over its time-ordered partition stream.
   */
 object Enumeration {
 
@@ -32,15 +31,6 @@ object Enumeration {
         out ++= VBA.flush(st, c)
         out.result()
     }
-  }
-
-  def detect(partitions: Dataset[PartitionRow], c: Constraints,
-             method: EnumMethod): Dataset[Emitted] = {
-    val spark = partitions.sparkSession
-    import spark.implicits._
-    partitions
-      .groupByKey(_.anchor)
-      .flatMapGroups((anchor, rows) => detectLocal(anchor, rows, c, method).iterator)
   }
 
   /** The apriori growth loop FBA and VBA share (§6.2–6.3): the combinations

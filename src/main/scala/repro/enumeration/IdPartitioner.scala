@@ -1,6 +1,5 @@
 package repro.enumeration
 
-import org.apache.spark.sql.Dataset
 import repro.core.{ClusterRow, PartitionRow}
 
 /** Id-based partitioning of cluster snapshots (paper §6.1).
@@ -24,11 +23,5 @@ object IdPartitioner {
       if (others.nonEmpty) Iterator.single(PartitionRow(cluster.time, ms(i), others))
       else Iterator.empty
     }
-  }
-
-  def partitions(clusters: Dataset[ClusterRow], m: Int): Dataset[PartitionRow] = {
-    val spark = clusters.sparkSession
-    import spark.implicits._
-    clusters.flatMap(partitionsLocal(_, m))
   }
 }

@@ -3,9 +3,11 @@ package repro.index
 /** Global grid index math of the GR-index (paper §5.1–5.2).
   *
   * A location (x, y) belongs to the cell with key ⟨⌊x/l_g⌋, ⌊y/l_g⌋⟩; each
-  * cell is one partition of the distributed range join. `lemma1QueryKeys`
-  * implements the duplicate-avoiding replication of Lemma 1: only the cells
-  * intersecting the *upper half* of the range region are probed.
+  * cell is one partition of the distributed range join. A query object is
+  * replicated to the cells its probe region intersects (`cellsIn`), and the
+  * cell's R-tree is probed with that same region, so replication and probe
+  * agree on every edge: `upperRegion` is Lemma 1's duplicate-avoiding half,
+  * `fullRegion` the whole range region.
   */
 object Grid {
 
@@ -20,44 +22,32 @@ object Grid {
 
   def pack(cx: Int, cy: Int): Long = (cx.toLong << 32) | (cy.toLong & 0xffffffffL)
 
-  /** Rounding slack for the bounds of the range region around (x, y):
-    * `x ± eps` is rounded, and so is the `|Δx| <= eps` test that defines a
+  /** The range region RQ((x, y), eps), widened by the rounding slack. */
+  def fullRegion(x: Double, y: Double, eps: Double): Rect =
+    Rect.range(x, y, eps + slack(x, y, eps))
+
+  /** The upper half ([x-eps, x+eps], [y, y+eps]) of the range region that
+    * Lemma 1 replicates to and probes, widened by the rounding slack.
+    */
+  def upperRegion(x: Double, y: Double, eps: Double): Rect =
+    Rect.upperRange(x, y, eps + slack(x, y, eps))
+
+  /** `x ± eps` is rounded, and so is the `|Δx| <= eps` test that defines a
     * neighbour, so the two can disagree by an ulp at the region's edge.
     * Bounds widened by this much contain every neighbour; the exact test
     * then decides.
     */
-  def slack(x: Double, y: Double, eps: Double): Double =
+  private def slack(x: Double, y: Double, eps: Double): Double =
     4 * Math.ulp(math.abs(x) + math.abs(y) + eps)
 
-  /** Lemma 1 replication keys for a query object at (x, y): all cells
-    * intersecting the upper half-region ([x-eps, x+eps], [y, y+eps]) of the
-    * range region (bounds widened by [[slack]]), *excluding* the home cell
-    * (which is covered by the incremental data-object processing of
-    * Lemma 2).
+  /** Keys of the cells intersecting `region`, column by column, *excluding*
+    * the `home` cell (its pairs come from the incremental data-object
+    * processing of Lemma 2).
     */
-  def lemma1QueryKeys(x: Double, y: Double, lg: Double, eps: Double): Seq[Long] = {
-    val home = key(x, y, lg)
-    val r = eps + slack(x, y, eps)
-    val keys = for {
-      cx <- cell(x - r, lg) to cell(x + r, lg)
-      cy <- cell(y, lg) to cell(y + r, lg)
+  def cellsIn(region: Rect, lg: Double, home: Long): Seq[Long] =
+    for {
+      cx <- cell(region.xMin, lg) to cell(region.xMax, lg)
+      cy <- cell(region.yMin, lg) to cell(region.yMax, lg)
       k = pack(cx, cy) if k != home
     } yield k
-    keys
-  }
-
-  /** All cells intersecting the *full* range region (bounds widened by
-    * [[slack]]) — the replication used by the SRJ baseline (no Lemma 1),
-    * again excluding the home cell.
-    */
-  def fullQueryKeys(x: Double, y: Double, lg: Double, eps: Double): Seq[Long] = {
-    val home = key(x, y, lg)
-    val r = eps + slack(x, y, eps)
-    val keys = for {
-      cx <- cell(x - r, lg) to cell(x + r, lg)
-      cy <- cell(y - r, lg) to cell(y + r, lg)
-      k = pack(cx, cy) if k != home
-    } yield k
-    keys
-  }
 }

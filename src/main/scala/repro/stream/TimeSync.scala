@@ -45,15 +45,17 @@ final class TimeSync(expected: Set[Long] = Set.empty) {
   private val buffered = mutable.TreeMap.empty[Int, mutable.ArrayBuffer[Gps]]
   private var emittedUpTo = -1
   private var nonFinite, badLastTime, stale, duplicate, unresolved = 0L
-  private var pendingCount, bufferedCount = 0L
 
   /** Records dropped so far, by reason. */
   def dropped: TimeSync.Drops = TimeSync.Drops(nonFinite, badLastTime, stale, duplicate, unresolved)
 
   /** Records accepted but not yet emitted in a snapshot: waiting for their
     * predecessor, or released into a snapshot that is not yet complete.
+    * Counted from the maps, at O(trajectories + buffered snapshots) cost.
     */
-  def heldRecords: Long = pendingCount + bufferedCount
+  def heldRecords: Long = pendingRecords + buffered.valuesIterator.map(_.length.toLong).sum
+
+  private def pendingRecords: Long = pending.valuesIterator.map(_.size.toLong).sum
 
   /** Offer one record (any arrival order across trajectories); returns the
     * snapshots (time, records) that became complete, in ascending time
@@ -75,7 +77,6 @@ final class TimeSync(expected: Set[Long] = Set.empty) {
         if (waiting.contains(r.lastTime)) duplicate += 1
         else {
           waiting(r.lastTime) = r
-          pendingCount += 1
           release(r.id, waiting)
         }
       }
@@ -88,12 +89,8 @@ final class TimeSync(expected: Set[Long] = Set.empty) {
     var next = waiting.remove(f)
     while (next.isDefined) {
       val g = next.get
-      pendingCount -= 1
       if (g.time <= emittedUpTo) stale += 1
-      else {
-        buffered.getOrElseUpdate(g.time, mutable.ArrayBuffer.empty) += g
-        bufferedCount += 1
-      }
+      else buffered.getOrElseUpdate(g.time, mutable.ArrayBuffer.empty) += g
       f = g.time
       next = waiting.remove(f)
     }
@@ -104,7 +101,6 @@ final class TimeSync(expected: Set[Long] = Set.empty) {
       val before = waiting.size
       waiting.filterInPlace((last, _) => last >= f)
       stale += before - waiting.size
-      pendingCount -= before - waiting.size
     }
   }
 
@@ -119,7 +115,6 @@ final class TimeSync(expected: Set[Long] = Set.empty) {
     val out = ((emittedUpTo + 1) to limit).map { t =>
       t -> buffered.remove(t).map(_.toSeq).getOrElse(Nil)
     }
-    bufferedCount -= out.iterator.map(_._2.length).sum
     emittedUpTo = limit
     out
   }
@@ -129,8 +124,7 @@ final class TimeSync(expected: Set[Long] = Set.empty) {
     * `unresolved` (their gap can never be resolved).
     */
   def close(): Seq[(Int, Seq[Gps])] = {
-    unresolved += pendingCount
-    pendingCount = 0
+    unresolved += pendingRecords
     pending.clear()
     val maxBuffered = if (buffered.isEmpty) emittedUpTo else buffered.lastKey
     emitUpTo(maxBuffered)

@@ -108,6 +108,19 @@ class RangeJoinSpec extends SparkSpec with PropSupport {
     }
   }
 
+  test("Lemma 1 replication reaches a neighbour one ulp past the unwidened region") {
+    // q.y + eps rounds to 0.09999999999999998, one ulp below d's cell border
+    // at y = 0.1, while the exact test makes q and d neighbours: only the
+    // widened upper region replicates q to d's cell.
+    val (eps, lg) = (0.4, 0.1)
+    val q = SnapshotRow(1, 1L, 0.0, -3 * 0.1)
+    val d = SnapshotRow(1, 2L, 0.0, 0.1)
+    assert(repro.index.Grid.cell(q.y + eps, lg) < repro.index.Grid.cell(d.y, lg))
+    val expected = Reference.rangeJoin(Seq(q, d), eps)
+    assert(expected == Seq(NeighborPair(1, 1, 2)))
+    assert(localJoin(Seq(q, d), eps, lg) == expected)
+  }
+
   test("property: no duplicates in the raw pair stream on tie-heavy lattices") {
     val caseGen = for {
       step <- Gen.oneOf(0.1, 0.25, 0.5, 1.0)

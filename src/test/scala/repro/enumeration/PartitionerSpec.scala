@@ -4,7 +4,7 @@ import repro.SparkSpec
 import repro.core.{ClusterRow, PartitionRow}
 
 /** Id-based partitioning tests (§6.1): larger-id membership, Lemma 3
-  * filtering, and the distributed wrapper.
+  * filtering, and the same partitions from a Dataset `flatMap`.
   */
 class PartitionerSpec extends SparkSpec {
 
@@ -46,7 +46,7 @@ class PartitionerSpec extends SparkSpec {
 
   test("distributed partitions equal local partitions") {
     val clusters = repro.TestData.goldenClusters
-    val got = IdPartitioner.partitions(spark.createDataset(clusters), 2)
+    val got = spark.createDataset(clusters).flatMap(IdPartitioner.partitionsLocal(_, 2))
       .collect().toSeq.sortBy(p => (p.time, p.anchor))
     val expected = clusters.flatMap(IdPartitioner.partitionsLocal(_, 2))
       .sortBy(p => (p.time, p.anchor))
@@ -55,7 +55,8 @@ class PartitionerSpec extends SparkSpec {
 
   test("distributed partitions honor Lemma 3") {
     val clusters = repro.TestData.goldenClusters
-    val got = IdPartitioner.partitions(spark.createDataset(clusters), 4).collect().toSeq
+    val got = spark.createDataset(clusters).flatMap(IdPartitioner.partitionsLocal(_, 4))
+      .collect().toSeq
     // Only clusters with >= 4 members survive: t3 {2..8}, t4 {3..7},
     // t6 {3,4,5,6}, t7/t8 {4,5,6,7}.
     assert(got.map(_.time).distinct.sorted == Seq(3, 4, 6, 7, 8))

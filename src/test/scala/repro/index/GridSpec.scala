@@ -28,14 +28,14 @@ class GridSpec extends AnyFunSuite with PropSupport {
     all.foreach { case (x, y) => assert(cellOf(Grid.pack(x, y)) == ((x, y))) }
   }
 
-  test("lemma1QueryKeys excludes the home cell") {
-    val keys = Grid.lemma1QueryKeys(5.0, 5.0, 10.0, 3.0)
+  test("cellsIn(upperRegion) excludes the home cell") {
+    val keys = lemma1Keys(5.0, 5.0, 10.0, 3.0)
     assert(!keys.contains(Grid.key(5.0, 5.0, 10.0)))
   }
 
-  test("lemma1QueryKeys covers only the upper half in y") {
+  test("cellsIn(upperRegion) covers only the upper half in y") {
     // eps < distance to cell floor: nothing below the home row is probed.
-    val keys = Grid.lemma1QueryKeys(15.0, 15.0, 10.0, 3.0).map(cellOf)
+    val keys = lemma1Keys(15.0, 15.0, 10.0, 3.0).map(cellOf)
     assert(keys.forall(_._2 >= 1))
   }
 
@@ -43,14 +43,14 @@ class GridSpec extends AnyFunSuite with PropSupport {
     // A point near a cell corner: the full range region intersects 4 cells,
     // the Lemma 1 upper half only 2 (minus home = 1 or 3 depending on side).
     val (x, y, lg, eps) = (10.5, 10.5, 10.0, 1.0)
-    assert(Grid.fullQueryKeys(x, y, lg, eps).length == 3) // 4 cells minus home
-    assert(Grid.lemma1QueryKeys(x, y, lg, eps).length == 1) // upper-right only
+    assert(fullKeys(x, y, lg, eps).length == 3) // 4 cells minus home
+    assert(lemma1Keys(x, y, lg, eps).length == 1) // upper-right only
   }
 
-  test("fullQueryKeys is a superset of lemma1QueryKeys") {
+  test("cellsIn(fullRegion) is a superset of cellsIn(upperRegion)") {
     forAllG(pointGen) { case (x, y, lg, eps) =>
-      val l1 = Grid.lemma1QueryKeys(x, y, lg, eps).toSet
-      val full = Grid.fullQueryKeys(x, y, lg, eps).toSet
+      val l1 = lemma1Keys(x, y, lg, eps).toSet
+      val full = fullKeys(x, y, lg, eps).toSet
       assert(l1.subsetOf(full))
     }
   }
@@ -61,14 +61,14 @@ class GridSpec extends AnyFunSuite with PropSupport {
         cx <- Grid.cell(x - eps, lg) to Grid.cell(x + eps, lg)
         cy <- Grid.cell(y, lg) to Grid.cell(y + eps, lg)
       } yield Grid.pack(cx, cy)).toSet - Grid.key(x, y, lg)
-      assert(Grid.lemma1QueryKeys(x, y, lg, eps).toSet == expected)
+      assert(lemma1Keys(x, y, lg, eps).toSet == expected)
     }
   }
 
   test("property: no duplicate keys in either replication set") {
     forAllG(pointGen) { case (x, y, lg, eps) =>
-      val a = Grid.lemma1QueryKeys(x, y, lg, eps)
-      val b = Grid.fullQueryKeys(x, y, lg, eps)
+      val a = lemma1Keys(x, y, lg, eps)
+      val b = fullKeys(x, y, lg, eps)
       assert(a.distinct == a && b.distinct == b)
     }
   }
@@ -78,8 +78,8 @@ class GridSpec extends AnyFunSuite with PropSupport {
     forAllG(pairGen) { case (x1, y1, x2, y2, lg, eps) =>
       if (math.abs(x1 - x2) <= eps && math.abs(y1 - y2) <= eps) {
         val home1 = Grid.key(x1, y1, lg); val home2 = Grid.key(x2, y2, lg)
-        val probe1 = Grid.lemma1QueryKeys(x1, y1, lg, eps).toSet + home1
-        val probe2 = Grid.lemma1QueryKeys(x2, y2, lg, eps).toSet + home2
+        val probe1 = lemma1Keys(x1, y1, lg, eps).toSet + home1
+        val probe2 = lemma1Keys(x2, y2, lg, eps).toSet + home2
         // The pair is found if they share a home cell, or the lower point's
         // probe set contains the upper point's home cell.
         val found = home1 == home2 ||
@@ -88,6 +88,14 @@ class GridSpec extends AnyFunSuite with PropSupport {
       }
     }
   }
+
+  /** Lemma 1's replication keys for a query object at (x, y). */
+  private def lemma1Keys(x: Double, y: Double, lg: Double, eps: Double): Seq[Long] =
+    Grid.cellsIn(Grid.upperRegion(x, y, eps), lg, Grid.key(x, y, lg))
+
+  /** SRJ's replication keys: every cell the full range region intersects. */
+  private def fullKeys(x: Double, y: Double, lg: Double, eps: Double): Seq[Long] =
+    Grid.cellsIn(Grid.fullRegion(x, y, eps), lg, Grid.key(x, y, lg))
 
   /** The (x, y) cell indices a packed key encodes. */
   private def cellOf(key: Long): (Int, Int) = ((key >> 32).toInt, key.toInt)
