@@ -14,7 +14,9 @@ import scala.collection.mutable
   */
 object Dbscan {
 
-  /** Cluster one snapshot given its points and eps-neighbor pairs.
+  /** Cluster one snapshot given its eps-neighbor pairs. The point set is
+    * `points` together with the pairs' endpoints; with `minPts >= 2` a point
+    * without a neighbor is noise, so callers may pass `Nil` for `points`.
     *
     * `minPts` counts the point itself (standard DBSCAN, consistent with the
     * paper's Fig. 2 example at time 3: a chain o2..o8 with minPts = 3 has
@@ -22,20 +24,15 @@ object Dbscan {
     */
   def clusterLocal(time: Int, points: Iterable[Long], pairs: Iterable[NeighborPair],
                    minPts: Int): Seq[ClusterRow] = {
-    val adj = mutable.HashMap.empty[Long, mutable.ArrayBuffer[Long]]
-    def edge(a: Long, b: Long): Unit =
-      adj.getOrElseUpdate(a, new mutable.ArrayBuffer[Long]()) += b
-    pairs.foreach { p => edge(p.a, p.b); edge(p.b, p.a) }
+    val degree = mutable.HashMap.empty[Long, Int]
+    points.foreach(degree.getOrElseUpdate(_, 0))
+    def touch(x: Long): Unit = degree(x) = degree.getOrElse(x, 0) + 1
+    pairs.foreach { p => touch(p.a); touch(p.b) }
 
-    val isCore = mutable.HashSet.empty[Long]
-    val allPoints = points.toSeq
-    allPoints.foreach { p =>
-      if (1 + adj.get(p).map(_.length).getOrElse(0) >= minPts) isCore += p
-    }
-    if (isCore.isEmpty) return Nil
-
-    // Union-find over core points; components connected by core-core edges.
+    // Union-find over the cores: the larger root is linked under the smaller,
+    // so a component's root is its smallest core id, the cluster id.
     val parent = mutable.HashMap.empty[Long, Long]
+    degree.foreach { case (x, d) => if (1 + d >= minPts) parent(x) = x }
     def find(x: Long): Long = {
       var r = x
       while (parent(r) != r) r = parent(r)
@@ -43,41 +40,32 @@ object Dbscan {
       while (parent(c) != r) { val n = parent(c); parent(c) = r; c = n }
       r
     }
-    isCore.foreach(c => parent(c) = c)
     pairs.foreach { p =>
-      if (isCore(p.a) && isCore(p.b)) {
+      if (parent.contains(p.a) && parent.contains(p.b)) {
         val (ra, rb) = (find(p.a), find(p.b))
         if (ra != rb) parent(math.max(ra, rb)) = math.min(ra, rb)
       }
     }
 
-    // The larger root is linked under the smaller, so a component's root is
-    // its smallest core id: the cluster id.
-    val members = mutable.HashMap.empty[Long, mutable.TreeSet[Long]]
-    isCore.foreach { c =>
-      members.getOrElseUpdate(find(c), mutable.TreeSet.empty[Long]) += c
-    }
-    // Border points: density reachable from a core; deterministic assignment
-    // to the smallest eligible cluster id.
-    allPoints.foreach { p =>
-      if (!isCore(p)) {
-        val coreNbrs = adj.get(p).iterator.flatten.filter(isCore)
-        if (coreNbrs.nonEmpty) {
-          val cid = coreNbrs.map(find).min
-          members(cid) += p
-        }
-      }
-    }
-    members.iterator.map { case (cid, ms) => ClusterRow(time, cid, ms.toVector) }
-      .toVector.sortBy(_.clusterId)
+    // Border points: a non-core next to a core joins the smallest such root.
+    val border = mutable.HashMap.empty[Long, Long]
+    def attach(b: Long, core: Long): Unit =
+      if (parent.contains(core) && !parent.contains(b))
+        border(b) = math.min(find(core), border.getOrElse(b, Long.MaxValue))
+    pairs.foreach { p => attach(p.b, p.a); attach(p.a, p.b) }
+
+    degree.keysIterator
+      .flatMap(x => if (parent.contains(x)) Some(find(x) -> x) else border.get(x).map(_ -> x))
+      .toVector.groupMap(_._1)(_._2).toVector.sortBy(_._1)
+      .map { case (cid, ms) => ClusterRow(time, cid, ms.sorted) }
   }
 
   /** Distributed clustering: group the range join's neighbor pairs by time
-    * and run the linear local pass over each group's distinct endpoints —
-    * one task per snapshot, mirroring ICPE's snapshot-level parallelism.
-    * With `minPts >= 2` a point without a neighbor is noise, so the pairs
-    * alone decide every cluster; `snapshots` is unused and kept for callers
-    * that pass the join's input alongside its output.
+    * and run the linear local pass over each group — one task per snapshot,
+    * mirroring ICPE's snapshot-level parallelism. With `minPts >= 2` a point
+    * without a neighbor is noise, so the pairs alone decide every cluster;
+    * `snapshots` is unused and kept for callers that pass the join's input
+    * alongside its output.
     */
   def cluster(snapshots: Dataset[SnapshotRow], neighbors: Dataset[NeighborPair],
               minPts: Int): Dataset[ClusterRow] = {
@@ -85,8 +73,7 @@ object Dbscan {
     val spark = neighbors.sparkSession
     import spark.implicits._
     neighbors.groupByKey(_.time).flatMapGroups { (time, prs) =>
-      val pairs = prs.toVector
-      clusterLocal(time, (pairs.map(_.a) ++ pairs.map(_.b)).distinct, pairs, minPts).iterator
+      clusterLocal(time, Nil, prs.toVector, minPts).iterator
     }
   }
 }

@@ -30,7 +30,7 @@ object ICPE {
       .groupBy(_.cellKey).valuesIterator
       .flatMap(cell => RangeJoin.gridQuery(cell.iterator, p.eps))
       .toVector
-    Dbscan.clusterLocal(time, rows.map(_.id), pairs, p.minPts)
+    Dbscan.clusterLocal(time, Nil, pairs, p.minPts)
   }
 
   /** Phase 2 — pattern enumeration: id-based partitions (§6.1) of the

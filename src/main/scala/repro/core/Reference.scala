@@ -2,9 +2,12 @@ package repro.core
 
 import scala.collection.mutable
 
-/** Naive, obviously-correct reference implementations used by the test
-  * suites (alongside the DuckDB SQL oracle) to validate the distributed
-  * algorithms. All are exponential/quadratic — use on small inputs only.
+/** Naive reference implementations used by the test suites (alongside the
+  * DuckDB SQL oracle). `rangeJoin` and `patterns` are exhaustive, obviously
+  * correct definitions; `dbscan` runs [[Dbscan.clusterLocal]] over the naive
+  * join, so it checks the join and the grouping, while the breadth-first
+  * property in `DbscanSpec` checks the kernel. All are quadratic or
+  * exponential — use on small inputs only.
   */
 object Reference {
 
@@ -23,7 +26,9 @@ object Reference {
     }.sortBy(p => (p.time, p.a, p.b))
   }
 
-  /** Naive DBSCAN per snapshot, same semantics as [[Dbscan.clusterLocal]]. */
+  /** [[Dbscan.clusterLocal]] over the naive join per snapshot, every point
+    * listed so that minPts = 1 yields singleton clusters.
+    */
   def dbscan(points: Seq[SnapshotRow], eps: Double, minPts: Int): Seq[ClusterRow] =
     points.groupBy(_.time).toSeq.sortBy(_._1).flatMap { case (time, ps) =>
       Dbscan.clusterLocal(time, ps.map(_.id), rangeJoin(ps, eps), minPts)

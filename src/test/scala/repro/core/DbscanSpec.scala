@@ -14,6 +14,33 @@ class DbscanSpec extends SparkSpec with PropSupport {
   private def rows(pts: (Long, Double, Double)*): Seq[SnapshotRow] =
     pts.map { case (id, x, y) => SnapshotRow(1, id, x, y) }
 
+  /** Definitions 8-9 read breadth-first, independent of the union-find
+    * kernel: each core not yet reached seeds a cluster (in ascending id
+    * order, so the id is the cluster's smallest core) that grows over
+    * eps-edges through cores only; a border joins the smallest cluster id
+    * among its core neighbors.
+    */
+  private def bfsDbscan(ids: Seq[Long], pairs: Seq[NeighborPair], minPts: Int): Map[Long, Set[Long]] = {
+    val nbrs = (pairs.map(p => p.a -> p.b) ++ pairs.map(p => p.b -> p.a))
+      .groupMap(_._1)(_._2).withDefaultValue(Nil)
+    val cores = ids.filter(i => 1 + nbrs(i).length >= minPts).toSet
+    val clusterOf = scala.collection.mutable.HashMap.empty[Long, Long]
+    for (seed <- cores.toSeq.sorted if !clusterOf.contains(seed)) {
+      clusterOf(seed) = seed
+      val queue = scala.collection.mutable.Queue(seed)
+      while (queue.nonEmpty)
+        for (n <- nbrs(queue.dequeue()) if cores.contains(n) && !clusterOf.contains(n)) {
+          clusterOf(n) = seed
+          queue.enqueue(n)
+        }
+    }
+    val borders = for {
+      b <- ids if !cores.contains(b)
+      cids = nbrs(b).flatMap(clusterOf.get) if cids.nonEmpty
+    } yield b -> cids.min
+    (clusterOf.toSeq ++ borders).groupMap(_._2)(_._1).view.mapValues(_.toSet).toMap
+  }
+
   test("paper §3.2: chain o2..o8 with minPts=3 forms one cluster") {
     // o2..o8 spaced 0.9*eps on a line: o3..o7 are cores (2 neighbors + self),
     // o2 and o8 are density reachable borders; o1 is far away noise.
@@ -71,8 +98,26 @@ class DbscanSpec extends SparkSpec with PropSupport {
   }
 
   test("clusterLocal tolerates pairs without points listed (defensive)") {
-    val got = Dbscan.clusterLocal(1, Seq(1L, 2L), Seq(NeighborPair(1, 1L, 2L)), 2)
+    val got = Dbscan.clusterLocal(1, Nil, Seq(NeighborPair(1, 1L, 2L)), 2)
     assert(got == Seq(ClusterRow(1, 1L, Vector(1L, 2L))))
+  }
+
+  test("property: clusterLocal equals a breadth-first DBSCAN, with or without the point list") {
+    val caseGen = for {
+      seed <- Gen.choose(0L, 99999L); n <- Gen.choose(1, 60)
+      minPts <- Gen.choose(1, 6); side <- Gen.choose(1.0, 12.0)
+    } yield (seed, n, minPts, side)
+    forAllG(caseGen, n = 300) { case (seed, n, minPts, side) =>
+      val rng = new Random(seed)
+      val ids = rng.shuffle((0L until 4L * n).toVector).take(n)
+      val data = ids.map(id => SnapshotRow(3, id, rng.nextDouble() * side, rng.nextDouble() * side))
+      val pairs = rng.shuffle(Reference.rangeJoin(data, 1.0))
+      val got = Dbscan.clusterLocal(3, ids, pairs, minPts)
+      assert(got.map(c => c.clusterId -> c.members.toSet).toMap == bfsDbscan(ids, pairs, minPts))
+      assert(got.forall(c => c.time == 3 && c.members == c.members.distinct.sorted))
+      assert(got.map(_.clusterId) == got.map(_.clusterId).distinct.sorted)
+      if (minPts >= 2) assert(Dbscan.clusterLocal(3, Nil, pairs, minPts) == got)
+    }
   }
 
   test("distributed cluster() equals Reference.dbscan on golden geometry") {
