@@ -99,18 +99,13 @@ object Figures {
       val pWarm = Params.clusterParams(world)
       for (j <- Runner.joins.keys) Runner.runClustering(spark, data, pWarm, j)
       val n = Runner.snapshots(data)
-      // GDC ignores l_g entirely, so its measurement is keyed by eps only
-      // (re-measuring it per l_g point would just add timing noise).
-      val gdcCache = mutable.HashMap.empty[Double, (Seq[ClusterRow], Double)]
       // Per (dataset, parameter point): run the three methods and
       // cross-check that they found identical clusterings.
       for ((label, epsPct, lgPct) <- points) {
         val p = Params.clusterParams(world, epsPct, lgPct)
         val sizes = mutable.ArrayBuffer.empty[(String, Long, Long)]
         for (j <- Runner.joins.keys) {
-          val (clusters, wall) =
-            if (j == "GDC") gdcCache.getOrElseUpdate(epsPct, clustering(spark, data, p, j))
-            else clustering(spark, data, p, j)
+          val (clusters, wall) = clustering(spark, data, p, j)
           sizes += ((j, clusters.size.toLong, clusters.map(_.members.size.toLong).sum))
           out += Seq(figure, name, label, j, Runner.f2(wall / n), Runner.f1(n * 1000.0 / wall))
         }

@@ -8,9 +8,10 @@ import org.scalatest.funsuite.AnyFunSuite
   *
   * Driver heap is set via ``Test / javaOptions`` in build.sbt from
   * SPARK_DRIVER_MEM (the image exports it, or derives ~75% of the cgroup
-  * limit). Broadcast joins are disabled so shuffle/join papers actually
-  * exercise the shuffle path at SF~=0.1; re-enable per-query if the
-  * paper's contribution is the broadcast side.
+  * limit). Broadcast joins are off, so the tests' one Spark join
+  * (`RangeJoinSpec`'s DuckDB check) shuffles, as the benchmark's session
+  * does. The streaming demo ([[repro.stream.StreamingDemo]]) runs on this
+  * session too.
   */
 trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {
   lazy val spark: SparkSession = SparkSpec.shared
@@ -23,8 +24,7 @@ object SparkSpec {
     val s = SparkSession.builder
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
       .appName("repro")
-      .config("spark.sql.shuffle.partitions",
-              sys.env.getOrElse("SPARK_SHUFFLE_PARTITIONS", "64"))
+      .config("spark.sql.shuffle.partitions", 64)
       .config("spark.sql.autoBroadcastJoinThreshold", -1)
       .getOrCreate()
     // One line in test output that tells the driver whether the cgroup

@@ -2,8 +2,10 @@ package repro.stream
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.TestData
+import repro.bench.Params
 import repro.core._
 import repro.enumeration._
+import repro.traj.StreamGen
 import scala.collection.mutable
 import scala.util.Random
 
@@ -69,6 +71,30 @@ class IcpeCoreSpec extends AnyFunSuite {
       TestData.goldenPatternsM3)
   }
 
+  test("IcpeCore with no registered trajectories equals per-anchor VBA over Reference.dbscan") {
+    // The streaming demo's setting: no trajectory is registered, so each one
+    // is known from its first record on, and dropout makes some first
+    // reports late.
+    val cfg = Params.geolife.copy(nObjects = 120, nSnapshots = 60, dropout = 0.1)
+    val rows = StreamGen.generate(cfg).toSeq
+    val p = Params.clusterParams(cfg.world)
+    val c = Params.defaultConstraints
+    val core = new IcpeCore(p, c)
+    val progress = TestData.gpsBatches(rows).zipWithIndex
+      .map { case (b, i) => core.ingest(i.toLong, b) }
+    core.finish()
+    assert(rows.groupBy(_.id).values.exists(_.map(_.time).min > 0), "no late first report")
+
+    // Fed in time order, no record is dropped, and every snapshot released
+    // before the stream's end holds the clusters of all its records.
+    val clusters = Reference.dbscan(rows, p.eps, p.minPts)
+    val released = progress.map(_.snapshotsReleased).sum
+    assert(progress.forall(_.dropped.total == 0))
+    assert(progress.map(_.clusters).sum == clusters.count(_.time < released))
+
+    assertPerAnchorVba(core, clusters, c)
+  }
+
   test("soak: 10k snapshots with late, resent and NaN records keep state bounded") {
     val rng = new Random(5)
     val n = 8; val times = 10000
@@ -130,9 +156,15 @@ class IcpeCoreSpec extends AnyFunSuite {
     assert(maxCands > 0 && maxCands <= 20, s"retained candidates: $maxCands")
     assert(maxHeld > 0 && maxHeld <= 6 * n, s"held records: $maxHeld")
 
-    // The patterns are those of VBA run over each anchor's partitions of the
-    // fault-free stream, row for row.
-    val parts = Reference.dbscan(rows, p.eps, p.minPts).flatMap(IdPartitioner.partitionsLocal(_, c.m))
+    // The patterns are those of the fault-free stream.
+    assertPerAnchorVba(core, Reference.dbscan(rows, p.eps, p.minPts), c)
+  }
+
+  /** `core`'s patterns are those of VBA run over each anchor's partitions of
+    * `clusters`, row for row, and there is at least one.
+    */
+  private def assertPerAnchorVba(core: IcpeCore, clusters: Seq[ClusterRow], c: Constraints): Unit = {
+    val parts = clusters.flatMap(IdPartitioner.partitionsLocal(_, c.m))
     val expected = parts.groupBy(_.anchor).toSeq.sortBy(_._1).flatMap { case (a, ps) =>
       Enumeration.detectLocal(a, ps.iterator, c, VbaMethod)
     }

@@ -1,10 +1,8 @@
 package repro.stream
 
-import org.apache.spark.sql.execution.streaming.runtime.MemoryStream
 import repro.{SparkSpec, TestData}
 import repro.core._
 import repro.enumeration._
-import scala.collection.mutable
 
 /** Structured Streaming integration: the foreachBatch deployment must hand
   * every micro-batch to [[IcpeCore]] whole and match the batch results. The
@@ -21,18 +19,8 @@ class StreamingSpec extends SparkSpec {
     val p = ClusterParams(eps, minPts = 2, lg = 3.0)
 
     val icpe = new StreamingICPE(spark, p, c, expectedIds = (1L to 8L).toSet)
-    implicit val sqlCtx: org.apache.spark.sql.SQLContext = spark.sqlContext
-    val source = MemoryStream[Gps]
-    val query = icpe.start(source.toDS(), "golden-stream")
     val batches = TestData.gpsBatches(rows)
-    val progress = mutable.ArrayBuffer.empty[BatchProgress]
-    try {
-      batches.foreach { batch =>
-        source.addData(batch)
-        query.processAllAvailable()
-        progress += icpe.lastProgress.get
-      }
-    } finally query.stop()
+    val progress = StreamingDemo.replay(spark, icpe, batches)
     icpe.finish()
 
     // Each micro-batch reached the core whole and in order: its progress is
