@@ -32,29 +32,32 @@ object Figures {
   def detectionDatasets: Seq[(String, Double, Array[SnapshotRow])] =
     datasets.filter(d => d._1 == "taxi" || d._1 == "brinkhoff")
 
-  /** JIT/Spark warmup so the first measured run is not penalized: one
-    * full-size clustering pass per method plus one enumeration pass per
-    * method on a real dataset prefix.
+  /** Unmeasured passes over a stream before its first measured point, so that
+    * no point of a sweep is measured cold: every join of `Runner.joins`, then
+    * FBA and VBA over the RJC clusters, `warmPasses` times. BA is left out: it
+    * gives up on large partitions. Runs once per stream in a JVM.
     */
-  private def warmup(spark: SparkSession): Unit = {
-    if (warmedUp) return
-    val (_, world, data) = datasets.head
-    val rows = data.filter(_.time < 40)
-    val p = Params.clusterParams(world)
-    for (j <- Runner.joins.keys) Runner.runClustering(spark, rows, p, j)
-    val (cl, _) = Runner.runClustering(spark, rows, p, "RJC")
-    for (m <- Seq[EnumMethod](FbaMethod, VbaMethod))
-      Runner.runEnumeration(spark, cl, Params.defaultConstraints, m)
-    warmedUp = true
-  }
-  private var warmedUp = false
+  private def warm(spark: SparkSession, data: Array[SnapshotRow], world: Double): Unit =
+    if (warmed.add(data)) {
+      val p = Params.clusterParams(world)
+      for (_ <- 1 to warmPasses) {
+        val clusters =
+          Runner.joins.keys.map(j => j -> Runner.runClustering(spark, data, p, j)._1).toMap
+        for (m <- Seq[EnumMethod](FbaMethod, VbaMethod))
+          Runner.runEnumeration(spark, clusters("RJC"), Params.defaultConstraints, m)
+      }
+    }
+  // One pass left the first point of a descending Fig 14 sweep measurably slow.
+  private val warmPasses = 3
+  // Streams are arrays, so they are told apart by reference.
+  private val warmed = mutable.HashSet.empty[Array[SnapshotRow]]
 
   /** A measured clustering point: the clusters of `rows` under `join`, and
     * the lower-median wall of `reps` runs.
     */
   private def clustering(spark: SparkSession, rows: Array[SnapshotRow], p: ClusterParams,
-                         join: String, slots: Option[Int] = None): (Seq[ClusterRow], Double) =
-    Runner.median(Runner.reps)(Runner.runClustering(spark, rows, p, join, slots))
+                         join: String): (Seq[ClusterRow], Double) =
+    Runner.median(Runner.reps)(Runner.runClustering(spark, rows, p, join))
 
   /** A measured detection row of Figs 12-15: `key` (figure, dataset, param),
     * the method, latency and throughput, `extra` cells, and the distinct
@@ -63,9 +66,8 @@ object Figures {
     */
   private def detectionRow(spark: SparkSession, key: Seq[String], clusters: Seq[ClusterRow],
                            clusterMs: Double, n: Int, c: Constraints, m: EnumMethod,
-                           extra: Seq[String] = Nil, slots: Option[Int] = None): Seq[String] = {
-    val (emitted, enumMs) =
-      Runner.median(Runner.reps)(Runner.runEnumeration(spark, clusters, c, m, slots))
+                           extra: Seq[String] = Nil): Seq[String] = {
+    val (emitted, enumMs) = Runner.median(Runner.reps)(Runner.runEnumeration(spark, clusters, c, m))
     val r = Runner.metricsOf(clusterMs, enumMs, n, emitted, c)
     (key :+ m.name :+ Runner.f2(r.latencyMs) :+ Runner.f1(r.throughputTps)) ++ extra :+
       r.nPatterns.toString
@@ -90,14 +92,9 @@ object Figures {
 
   private def clusteringSweep(spark: SparkSession, figure: String,
                               points: Seq[(String, Double, Double)]): Seq[Seq[String]] = {
-    warmup(spark)
     val out = mutable.ArrayBuffer.empty[Seq[String]]
     for ((name, world, data) <- datasets) {
-      // Warm all three methods on THIS dataset once, unmeasured — the JIT
-      // profile is dataset-shaped and would otherwise inflate the first
-      // sweep points.
-      val pWarm = Params.clusterParams(world)
-      for (j <- Runner.joins.keys) Runner.runClustering(spark, data, pWarm, j)
+      warm(spark, data, world)
       val n = Runner.snapshots(data)
       // Per (dataset, parameter point): run the three methods and
       // cross-check that they found identical clusterings.
@@ -127,24 +124,26 @@ object Figures {
   // ----- Fig 12: detection vs object ratio Or (B, F, V) -----
 
   def fig12(spark: SparkSession): Seq[Seq[String]] = {
-    warmup(spark)
     val c = Params.defaultConstraints
     val out = mutable.ArrayBuffer.empty[Seq[String]]
-    for ((name, world, data) <- detectionDatasets; or <- Params.ors) {
-      val rows = subsample(data, or)
-      val (clusters, clusterMs) = clustering(spark, rows, Params.clusterParams(world), "RJC")
-      val n = Runner.snapshots(rows)
-      val key = Seq("fig12", name, s"Or=${(or * 100).toInt}%")
-      val avgSize = Runner.f1(Runner.avgClusterSize(clusters))
-      val maxPart = clusters.map(_.members.length).maxOption.getOrElse(0) - 1
-      for (m <- Seq[EnumMethod](BaselineMethod, FbaMethod, VbaMethod)) {
-        // The paper's B cannot run once 2^|P_t(o)| explodes (Fig 12 shows B
-        // only for Or <= 60%). B is skipped here once some partition could
-        // hold more than BA.MaxPartitionSize objects (largest cluster minus
-        // its anchor), the size at which BA.detect itself gives up.
-        out += (if (m == BaselineMethod && maxPart > BA.MaxPartitionSize)
-          key ++ Seq(m.name, "n/a (2^n blow-up)", "n/a", avgSize, "-")
-        else detectionRow(spark, key, clusters, clusterMs, n, c, m, extra = Seq(avgSize)))
+    for ((name, world, data) <- detectionDatasets) {
+      warm(spark, data, world)
+      for (or <- Params.ors) {
+        val rows = subsample(data, or)
+        val (clusters, clusterMs) = clustering(spark, rows, Params.clusterParams(world), "RJC")
+        val n = Runner.snapshots(rows)
+        val key = Seq("fig12", name, s"Or=${(or * 100).toInt}%")
+        val avgSize = Runner.f1(Runner.avgClusterSize(clusters))
+        val maxPart = clusters.map(_.members.length).maxOption.getOrElse(0) - 1
+        for (m <- Seq[EnumMethod](BaselineMethod, FbaMethod, VbaMethod)) {
+          // The paper's B cannot run once 2^|P_t(o)| explodes (Fig 12 shows B
+          // only for Or <= 60%). B is skipped here once some partition could
+          // hold more than BA.MaxPartitionSize objects (largest cluster minus
+          // its anchor), the size at which BA.detect itself gives up.
+          out += (if (m == BaselineMethod && maxPart > BA.MaxPartitionSize)
+            key ++ Seq(m.name, "n/a (2^n blow-up)", "n/a", avgSize, "-")
+          else detectionRow(spark, key, clusters, clusterMs, n, c, m, extra = Seq(avgSize)))
+        }
       }
     }
     Runner.emitTable("fig12_detection_vs_or",
@@ -153,23 +152,29 @@ object Figures {
 
   // ----- Fig 13/14: detection vs eps / node count N (F, V) -----
 
-  /** Rows are labelled `figure` and written to the table `table`. */
+  /** Rows are labelled `figure` and written to the table `table`. A sweep
+    * point with a node count runs whole inside [[Runner.onNodes]].
+    */
   private def detectionSweep(spark: SparkSession, table: String, figure: String,
                              paramName: String,
                              datasets: => Seq[(String, Double, Array[SnapshotRow])],
                              sweep: Seq[(String, Double, Option[Int])]): Seq[Seq[String]] = {
-    warmup(spark)
     val c = Params.defaultConstraints
     val out = mutable.ArrayBuffer.empty[Seq[String]]
-    for ((name, world, data) <- datasets; n = Runner.snapshots(data);
-         (label, epsPct, slots) <- sweep) {
-      // Cluster once per sweep point (identical for F and V), then measure
-      // each enumeration method on the shared cluster stream.
-      val (clusters, clusterMs) =
-        clustering(spark, data, Params.clusterParams(world, epsPct), "RJC", slots)
-      for (m <- Seq[EnumMethod](FbaMethod, VbaMethod))
-        out += detectionRow(spark, Seq(figure, name, label), clusters, clusterMs, n, c, m,
-          slots = slots)
+    for ((name, world, data) <- datasets) {
+      warm(spark, data, world)
+      val n = Runner.snapshots(data)
+      for ((label, epsPct, nodes) <- sweep) {
+        // Cluster once per sweep point (identical for F and V), then measure
+        // each enumeration method on the shared cluster stream.
+        def point(): Seq[Seq[String]] = {
+          val (clusters, clusterMs) =
+            clustering(spark, data, Params.clusterParams(world, epsPct), "RJC")
+          Seq[EnumMethod](FbaMethod, VbaMethod).map(m =>
+            detectionRow(spark, Seq(figure, name, label), clusters, clusterMs, n, c, m))
+        }
+        out ++= nodes.fold(point())(Runner.onNodes(spark, _)(point()))
+      }
     }
     Runner.emitTable(table, figureHeader.updated(2, paramName) :+ "patterns", out.toSeq)
   }
@@ -178,7 +183,7 @@ object Figures {
     detectionSweep(spark, "fig13_detection_vs_eps", "fig13_detection_vs_eps", "eps",
       detectionDatasets, Params.epsPcts.map(e => (s"eps=${Params.pct(e)}", e, None)))
 
-  /** Fig 14 runs on denser streams, one shuffle slot per emulated node. */
+  /** Fig 14 runs on denser streams, one task per keyed stage and emulated node. */
   def fig14(spark: SparkSession): Seq[Seq[String]] =
     detectionSweep(spark, "fig14_detection_vs_n", "fig14", "N",
       Seq(("taxi", Params.fig14Taxi.world, stream(Params.fig14Taxi)),
@@ -188,13 +193,10 @@ object Figures {
   // ----- Fig 15: enumeration vs M, K, L, G (FBA, VBA on Brinkhoff) -----
 
   def fig15(spark: SparkSession): Seq[Seq[String]] = {
-    warmup(spark)
     val cfg = Params.brinkhoff
     val data = stream(cfg)
+    warm(spark, data, cfg.world)
     val (clusters, _) = Runner.runClustering(spark, data, Params.clusterParams(cfg.world), "RJC")
-    // Pre-warm both enumeration methods on this cluster stream.
-    Runner.runEnumeration(spark, clusters, Params.defaultConstraints, FbaMethod)
-    Runner.runEnumeration(spark, clusters, Params.defaultConstraints, VbaMethod)
 
     val n = Runner.snapshots(data)
     val d = Params.defaultConstraints

@@ -73,48 +73,41 @@ object Runner {
     * micro-batches. Returns (clusterRows, wallMs).
     */
   def runClustering(spark: SparkSession, rows: Array[SnapshotRow], p: ClusterParams,
-                    join: String, slots: Option[Int] = None): (Seq[ClusterRow], Double) = {
+                    join: String): (Seq[ClusterRow], Double) = {
     import spark.implicits._
     val all = ArrayBuffer.empty[ClusterRow]
-    onSlots(spark, slots) {
-      val t0 = nowMs()
-      for (b <- batches(rows)) {
-        val ds = spread(spark.createDataset(b.toIndexedSeq), slots)
-        val clusters = Dbscan.cluster(ds, joins(join)(ds, p), p.minPts)
-        all ++= clusters.collect()
-      }
-      val wall = nowMs() - t0
-      (all.toSeq, wall)
+    val t0 = nowMs()
+    for (b <- batches(rows)) {
+      val ds = spark.createDataset(b.toIndexedSeq)
+      all ++= Dbscan.cluster(ds, joins(join)(ds, p), p.minPts).collect()
     }
+    (all.toSeq, nowMs() - t0)
   }
 
   /** Timed pattern enumeration over pre-computed cluster snapshots.
     * Returns (emitted patterns, wallMs).
     */
   def runEnumeration(spark: SparkSession, clusters: Seq[ClusterRow], c: Constraints,
-                     method: EnumMethod, slots: Option[Int] = None)
-      : (Seq[Emitted], Double) = {
+                     method: EnumMethod): (Seq[Emitted], Double) = {
     import spark.implicits._
-    onSlots(spark, slots) {
-      val t0 = nowMs()
-      val ds = spread(spark.createDataset(clusters.toIndexedSeq), slots)
-      val emitted = ICPE.detectPatterns(ds, c, method).collect().toSeq
-      val wall = nowMs() - t0
-      (emitted, wall)
-    }
+    val t0 = nowMs()
+    val ds = spark.createDataset(clusters.toIndexedSeq)
+    val emitted = ICPE.detectPatterns(ds, c, method).collect().toSeq
+    (emitted, nowMs() - t0)
   }
 
-  /** Runs `body` with `slots` shuffle partitions, if given (the Fig 14 node
-    * count), and restores the session's setting afterwards.
+  /** Runs `body` as on `n` nodes (Fig 14): every keyed stage (the GridQuery
+    * cells, DBSCAN per snapshot, enumeration per anchor) runs exactly `n`
+    * tasks. Adaptive coalescing, which would fold the small shuffles back to
+    * about one task, is off. Both settings are restored, also if `body` throws.
     */
-  private def onSlots[A](spark: SparkSession, slots: Option[Int])(body: => A): A = {
-    val prev = spark.conf.get("spark.sql.shuffle.partitions")
-    slots.foreach(n => spark.conf.set("spark.sql.shuffle.partitions", n))
-    try body finally spark.conf.set("spark.sql.shuffle.partitions", prev)
+  def onNodes[A](spark: SparkSession, n: Int)(body: => A): A = {
+    val settings = Seq("spark.sql.shuffle.partitions" -> n.toString,
+      "spark.sql.adaptive.coalescePartitions.enabled" -> "false")
+    val prev = settings.map { case (k, _) => k -> spark.conf.get(k) }
+    settings.foreach { case (k, v) => spark.conf.set(k, v) }
+    try body finally prev.foreach { case (k, v) => spark.conf.set(k, v) }
   }
-
-  private def spread[T](ds: Dataset[T], slots: Option[Int]): Dataset[T] =
-    slots.fold(ds)(n => ds.repartition(n))
 
   /** Mean emission delay over distinct patterns: snapshots between the
     * earliest time a pattern's constraints were decidable and the snapshot

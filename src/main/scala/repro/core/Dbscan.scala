@@ -61,11 +61,12 @@ object Dbscan {
   }
 
   /** Distributed clustering: group the range join's neighbor pairs by time
-    * and run the linear local pass over each group — one task per snapshot,
-    * mirroring ICPE's snapshot-level parallelism. With `minPts >= 2` a point
-    * without a neighbor is noise, so the pairs alone decide every cluster;
-    * `snapshots` is unused and kept for callers that pass the join's input
-    * alongside its output.
+    * and run the linear local pass over each group — one group per snapshot,
+    * ICPE's snapshot-level parallelism; the session's shuffle settings decide
+    * how many tasks run the groups. With `minPts >= 2` a point without a
+    * neighbor is noise, so the pairs alone decide every cluster; `snapshots`
+    * is unused and kept for callers that pass the join's input alongside its
+    * output.
     */
   def cluster(snapshots: Dataset[SnapshotRow], neighbors: Dataset[NeighborPair],
               minPts: Int): Dataset[ClusterRow] = {

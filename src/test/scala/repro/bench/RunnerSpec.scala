@@ -1,17 +1,25 @@
 package repro.bench
 
+import org.apache.spark.TestListenerBus
+import org.apache.spark.scheduler.{SparkListener, SparkListenerStageCompleted}
 import repro.SparkSpec
-import repro.core.{ClusterParams, ClusterRow, Constraints, Pattern, Reference}
-import repro.enumeration.Emitted
+import repro.core.{ClusterParams, ClusterRow, Constraints, Pattern, Reference, SnapshotRow}
+import repro.enumeration.{Emitted, FbaMethod}
 import repro.traj.{StreamGen, TrajConfig}
+import scala.collection.mutable
 
 /** Unit tests for the benchmark harness (micro-batched clustering, metrics,
-  * emission delay, median-of-reps) — the numbers EXPERIMENTS.md is built
-  * from.
+  * emission delay, median-of-reps, Fig 14's node count) — the numbers
+  * EXPERIMENTS.md is built from.
   */
 class RunnerSpec extends SparkSpec {
 
   private val c = Constraints(2, 4, 2, 2)
+
+  private def stream(): Array[SnapshotRow] =
+    StreamGen.generate(TrajConfig(nObjects = 40, nSnapshots = 120, world = 600.0,
+      nGroups = 4, groupSizeMin = 3, groupSizeMax = 4, nHubs = 3, hubSigma = 8,
+      speed = 2.0, dropout = 0.02, seed = 5L))
 
   test("earliestDecidable: immediately valid prefix") {
     // <1,2,3,4> is valid at its 4th time.
@@ -67,9 +75,7 @@ class RunnerSpec extends SparkSpec {
   }
 
   test("runClustering's micro-batches equal Reference.dbscan for every join") {
-    val rows = StreamGen.generate(TrajConfig(nObjects = 40, nSnapshots = 120, world = 600.0,
-      nGroups = 4, groupSizeMin = 3, groupSizeMax = 4, nHubs = 3, hubSigma = 8,
-      speed = 2.0, dropout = 0.02, seed = 5L))
+    val rows = stream()
     assert(Runner.snapshots(rows) > 2 * Runner.batchSnapshots) // at least 3 micro-batches
     val p = ClusterParams(eps = 4.0, minPts = 3, lg = 30.0)
     val expected = Reference.dbscan(rows.toSeq, p.eps, p.minPts)
@@ -79,6 +85,47 @@ class RunnerSpec extends SparkSpec {
       val (clusters, _) = Runner.runClustering(spark, rows, p, join)
       assert(clusters.sortBy(r => (r.time, r.clusterId)) == expected, join)
     }
+  }
+
+  test("onNodes runs every stage that reads a shuffle as n tasks and restores the session") {
+    val keys = Seq("spark.sql.shuffle.partitions", "spark.sql.adaptive.coalescePartitions.enabled")
+    val before = keys.map(spark.conf.get)
+    val rows = stream()
+    val p = ClusterParams(eps = 4.0, minPts = 3, lg = 30.0)
+    def pass(): (Seq[ClusterRow], Seq[Emitted]) = {
+      val (clusters, _) = Runner.runClustering(spark, rows, p, "RJC")
+      (clusters.sortBy(r => (r.time, r.clusterId)),
+        Runner.runEnumeration(spark, clusters, c, FbaMethod)._1.sortBy(_.toString))
+    }
+    val outside = pass()
+    assert(outside._1.nonEmpty && outside._2.nonEmpty)
+
+    // Tasks of each completed stage that has a parent, i.e. reads a shuffle.
+    val tasks = mutable.ArrayBuffer.empty[Int]
+    val listener = new SparkListener {
+      override def onStageCompleted(e: SparkListenerStageCompleted): Unit = tasks.synchronized {
+        if (e.stageInfo.parentIds.nonEmpty) tasks += e.stageInfo.numTasks
+      }
+    }
+    val sc = spark.sparkContext
+    TestListenerBus.drain(sc)
+    sc.addSparkListener(listener)
+    val inside = try Runner.onNodes(spark, 3)(pass()) finally {
+      TestListenerBus.drain(sc)
+      sc.removeSparkListener(listener)
+    }
+    assert(inside == outside)
+    // Per micro-batch the GridQuery cells and DBSCAN, then enumeration.
+    val seen = tasks.synchronized(tasks.toSeq)
+    assert(seen.length >= 3 * 2 + 1 && seen.forall(_ == 3), seen)
+    assert(keys.map(spark.conf.get) == before)
+
+    val thrown = intercept[IllegalStateException](Runner.onNodes(spark, 5) {
+      assert(keys.map(spark.conf.get) == Seq("5", "false"))
+      throw new IllegalStateException("body failed")
+    })
+    assert(thrown.getMessage == "body failed")
+    assert(keys.map(spark.conf.get) == before)
   }
 
   test("constraints sweep ranges preserve the paper's Table 3 spread") {

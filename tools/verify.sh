@@ -10,7 +10,8 @@
 # The script stops at the first failing step and prints one line per step;
 # each step's sbt output goes to a log file under $TMPDIR (default /tmp),
 # named in that line. It changes no file in the checkout beyond sbt's own
-# build output.
+# build output. Last it prints the main-source line count (`wc -l` over
+# src/main/**/*.scala), the number ROADMAP.md's aim 2 tracks.
 #
 #   tools/verify.sh
 set -u
@@ -39,3 +40,4 @@ for step in tier1 icpebench bench; do
     "${tests:+$tests  }" "$log"
   [ "$status" = ok ] || exit 1
 done
+echo "main sources: $(find src/main -name '*.scala' -exec cat {} + | wc -l) lines"
